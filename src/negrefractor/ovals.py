@@ -165,6 +165,27 @@ def radii_from_dots(kappa: float, p2: float, b: float, dots: np.ndarray):
     return h, ok
 
 
+def support_decided_by_extremes(kappa: float, p2: float, b: float, d_max: float) -> bool:
+    """Whether radii_from_dots' support mask over dot products d <= d_max is
+    all true exactly when it is true at the smallest and the largest d.
+
+    Rounding is monotone, so each computed test below is monotone in its
+    input.  Strong: u = k^2 d - b grows with d, and the clip test is monotone
+    in u*u, so the mask (u > 0 and the clip test) is false-then-true in d.
+    Critical: b - d < 0 is false-then-true.  Mild: d >= b is false-then-true;
+    the clip test depends on d through v*v, v = b - k^2 d, and always passes
+    when the constant term (1 - k^2)(b^2 - k^2 p2) is <= 0; otherwise, if
+    v >= 0 at d_max, v*v falls with d and the test is true-then-false.
+    Either way the mask holds on an interval of d.  Only a mild sheet with
+    v < 0 at d_max and a positive constant term (outside every search range
+    in practice) needs the full mask.
+    """
+    if regime_of(kappa) is not Regime.MILD:
+        return True
+    k2 = kappa * kappa
+    return (1.0 - k2) * (b * b - k2 * p2) <= 0.0 or b - k2 * d_max >= 0.0
+
+
 def polar_radius(oval: OvalParams, x) -> float:
     """Radius h(x) of the sheet along unit direction x."""
     x = np.asarray(x, dtype=float)

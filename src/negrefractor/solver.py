@@ -36,6 +36,10 @@ from .refractor import (
 # Relative margins keeping bisection strictly inside open admissible ranges.
 _EDGE = 1e-12
 _CRIT_CUT_MARGIN = 1e-9
+# Early bisection decisions: the fewest candidates worth splitting into a
+# head and a rest, and the float64 machine epsilon.
+_EARLY_MIN = 1024
+_EPS = float(np.finfo(float).eps)
 
 
 class ValidationFailure(ValueError):
@@ -502,11 +506,52 @@ class SolveReport:
 
 
 class _CoordinateWorkspace:
-    """Exact single-sheet energy evaluation with all other sheets frozen.
+    """Exact single-sheet energy G_j(b) with all other sheets frozen.
 
-    Reproduces the lowest-index tie rule of the full envelope assignment:
-    node -> j  iff  sheet j is within the tie band of the envelope and no
-    lower-indexed sheet is.
+    Node x belongs to sheet j iff sheet j is within the tie band of the
+    envelope and no lower-indexed sheet is: the lowest-index rule of the full
+    envelope assignment.  A bisection probes G_j some 45 times per coordinate
+    visit, so after `restrict` each probe looks only at candidate nodes.
+    Three facts keep every probe bit-identical to a pass over all nodes.
+
+    Superset.  Let `low` / `other` be the envelope of the lower-indexed / of
+    all other sheets, c = 1 - tie_tol (max envelope) or 1 + tie_tol (min),
+    and r* = other c where that lies above `low` (min: below), else low / c.
+    Rounding is monotone, so a node owned at b has h(x) >= r* (1 - 2 eps)
+    (min: h <= r* (1 + 2 eps)).  The sheet equation is explicit in b: sheet
+    j reaches r* along x at the switch parameter s(x) = r* + kappa |r* x - P|
+    (critical: r* - |r* x - P|), and h grows with b, so x can be owned at b
+    only if s(x) <= b + slack (min: s(x) >= b - slack).  The strong relation
+    b(h) turns back only past the support rim, which h(x) never reaches on
+    the search range, so a node whose r* lies beyond the turn is never owned
+    and whether it is a candidate does not matter.  `slack` is 1e-7 of the b
+    scale: far above the rounding of s and the b-space error of the computed
+    radius (a few ulp of that scale, also where the discriminant is clipped
+    at a rim-tangent ray), and far below the spread of the switch values, so
+    it adds next to no nodes.  The owned nodes, their radii and their
+    Fresnel terms are computed elementwise from the same values, in node
+    order, so np.sum sees the same array and returns the same bits.
+
+    Support.  `radii_from_dots` decides support from d = x . P alone, and its
+    computed mask holds on an interval of d (see
+    `ovals.support_decided_by_extremes`), so the nodes with the smallest and
+    the largest d decide whether the sheet is supported on every node.
+
+    Early decisions.  A bisection only asks whether G_j(b) reaches a target
+    (`at_least`).  Every term w f t is >= 0, and a float sum of n >= 0 terms,
+    in any order, is within n eps/2 of their exact sum (relative).  So once
+    the float sum s of a head of the n candidates has s (1 - 4 n eps) >=
+    target (> if strict), the float sum over all of them does too, and the
+    other terms are never computed.  The head is fixed before any term is:
+    the candidates among the first nodes whose w f sums to twice the target,
+    which decides the probes where sheet j owns most of the aperture.
+    Skipping terms also skips their Fresnel window checks, which cannot fire
+    there: the critical regime has none, and in the strong regime every probe
+    lies at least 1e-9 |P| below the aperture cut cap (`_coordinate_range`),
+    which keeps the discriminant >= kappa^2 (1e-9 |P|)^2 on every node, so
+    the refraction cosine exceeds 1/kappa by sqrt(disc) / (kappa^2 |z - P|)
+    > 1e-10, far beyond the check's 1e-12 slack, and t > 0.  Mild probes
+    keep the exact path.
     """
 
     def __init__(self, config: ProblemConfig, rule: QuadratureRule, H: np.ndarray, wf: np.ndarray):
@@ -514,8 +559,12 @@ class _CoordinateWorkspace:
         self.rule = rule
         self.H = H
         self.wf = wf  # weights * density values
-        self.is_max = config.medium.regime is Regime.STRONG
-        self.critical = config.medium.regime is Regime.CRITICAL
+        self.reach = np.cumsum(wf)
+        self.kappa = config.medium.kappa
+        regime = config.medium.regime
+        self.is_max = regime is Regime.STRONG
+        self.critical = regime is Regime.CRITICAL
+        self.early = regime is not Regime.MILD
         self.tie_tol = 1e-9
 
     def begin(self, j: int):
@@ -532,36 +581,83 @@ class _CoordinateWorkspace:
         self.P = self.config.targets.points[j]
         self.p2 = detmath.dot(self.P, self.P)
         self.dots = detmath.dot_rows(self.rule.nodes, self.P)
+        self.dot_ends = self.dots[[np.argmin(self.dots), np.argmax(self.dots)]]
+        self.slack = 1e-7 * (1.0 - self.kappa) * math.sqrt(self.p2)
+        self.switch = None
 
-    def energy(self, b: float) -> float:
-        h, ok = ovals.radii_from_dots(
-            self.config.medium.kappa, self.p2, b, self.dots
-        )
-        if not np.all(ok):
+    def restrict(self):
+        """Compute the switch parameters; later probes run on candidates."""
+        if self.is_max:
+            edge = self.other * (1.0 - self.tie_tol)
+            r = np.where(edge > self.low, edge, self.low / (1.0 - self.tie_tol))
+        else:
+            edge = self.other * (1.0 + self.tie_tol)
+            r = np.where(edge < self.low, edge, self.low / (1.0 + self.tie_tol))
+        dist = np.sqrt(np.maximum(r * r - 2.0 * r * self.dots + self.p2, 0.0))
+        self.switch = r - dist if self.critical else r + self.kappa * dist
+
+    def _nodes(self, b: float):
+        """Candidate nodes at b, in node order (all nodes before `restrict`)."""
+        if self.switch is None:
+            return slice(None)
+        if self.is_max:
+            return np.flatnonzero(self.switch <= b + self.slack)
+        return np.flatnonzero(self.switch >= b - self.slack)
+
+    def _terms(self, b: float, nodes) -> np.ndarray:
+        """Terms w f t of the given nodes that sheet j owns at b, in node
+        order, after checking that the sheet is supported on every node."""
+        dots = np.concatenate((self.dot_ends, self.dots[nodes]))
+        h, ok = ovals.radii_from_dots(self.kappa, self.p2, b, dots)
+        if not ovals.support_decided_by_extremes(self.kappa, self.p2, b, dots[1]):
+            _, ok = ovals.radii_from_dots(self.kappa, self.p2, b, self.dots)
+        if not ok.all():
             raise ConfigurationError(
                 f"sheet {self.j} left its support region at b={b}"
             )
+        h, dots = h[2:], dots[2:]
+        low = self.low[nodes]
         if self.is_max:
-            rho = np.maximum(h, self.other)
-            T = rho * (1.0 - self.tie_tol)
-            mine = (h >= T) & (self.low < T)
+            T = np.maximum(h, self.other[nodes]) * (1.0 - self.tie_tol)
+            mine = (h >= T) & (low < T)
         else:
-            rho = np.minimum(h, self.other)
-            T = rho * (1.0 + self.tie_tol)
-            mine = (h <= T) & (self.low > T)
-        if not np.any(mine):
-            return 0.0
-        if self.critical:
-            return float(np.sum(self.wf[mine]))
+            T = np.minimum(h, self.other[nodes]) * (1.0 + self.tie_tol)
+            mine = (h <= T) & (low > T)
+        wf = self.wf[nodes][mine]
+        if self.critical or not wf.size:
+            return wf
         hm = h[mine]
-        dm = self.dots[mine]
+        dm = dots[mine]
         dist = np.sqrt(np.maximum(self.p2 - 2.0 * hm * dm + hm * hm, 0.0))
         c = (dm - hm) / dist
-        t = fresnel.transmittance(c, self.config.medium)
-        return float(np.sum(self.wf[mine] * t))
+        return wf * fresnel.transmittance(c, self.config.medium)
+
+    def energy(self, b: float) -> float:
+        return float(np.sum(self._terms(b, self._nodes(b))))
+
+    def at_least(self, b: float, target: float, strict: bool = False) -> bool:
+        """Whether G_j(b) >= target (> if strict); needs `restrict` first."""
+        nodes = self._nodes(b)
+        n = len(nodes)
+        cut = 0
+        if self.early and n >= _EARLY_MIN:
+            # the head: the candidates among the first nodes whose w f sums
+            # to twice the target
+            last = np.searchsorted(self.reach, 2.0 * target)
+            cut = int(np.searchsorted(nodes, last, side="right"))
+        if 0 < cut < n:
+            head = self._terms(b, nodes[:cut])
+            bound = float(np.sum(head)) * (1.0 - 4.0 * n * _EPS)
+            if bound > target or (bound == target and not strict):
+                return True
+            terms = np.concatenate((head, self._terms(b, nodes[cut:])))
+        else:
+            terms = self._terms(b, nodes)
+        g = float(np.sum(terms))
+        return g > target if strict else g >= target
 
     def radii_row(self, b: float) -> np.ndarray:
-        h, _ = ovals.radii_from_dots(self.config.medium.kappa, self.p2, b, self.dots)
+        h, _ = ovals.radii_from_dots(self.kappa, self.p2, b, self.dots)
         return h
 
 
@@ -569,42 +665,42 @@ def _bisect_coordinate(ws: _CoordinateWorkspace, lo: float, hi: float,
                        target: float, b_tol: float, increasing: bool):
     """Drive the coordinate's energy to the target by bisection.
 
-    Returns (b, energy_at_b, evaluation count, exhausted flag).  The energy is
-    a monotone step function of b; when the target is unreachable inside
-    [lo, hi] the appropriate end is returned with exhausted=True.  Otherwise
-    the returned point is the feasible side of the crossing (energy <= target,
-    within one node weight of it), which keeps every sweep inside the feasible
-    set and makes the outer iteration monotone.
+    Returns (b, evaluation count, exhausted flag).  The energy is a monotone
+    step function of b; when the target is unreachable inside [lo, hi] the
+    appropriate end is returned with exhausted=True.  Otherwise the returned
+    point is the feasible side of the crossing (energy <= target, within one
+    node weight of it).  Coordinates visited later in the sweep can still
+    push this measure above its target.
     """
-    g_lo = ws.energy(lo)
-    g_hi = ws.energy(hi)
-    evals = 2
     if increasing:
-        if g_hi < target:
-            return hi, g_hi, evals, True
-        if g_lo > target:
-            return lo, g_lo, evals, True
+        lo_over = ws.at_least(lo, target, strict=True)
+        if not ws.at_least(hi, target):
+            return hi, 2, True
+        if lo_over:
+            return lo, 2, True
     else:
-        if g_lo < target:
-            return lo, g_lo, evals, True
-        if g_hi > target:
-            return hi, g_hi, evals, True
+        lo_under = not ws.at_least(lo, target)
+        hi_over = ws.at_least(hi, target, strict=True)
+        if lo_under:
+            return lo, 2, True
+        if hi_over:
+            return hi, 2, True
+    evals = 2
     a, c = lo, hi
-    g_a, g_c = g_lo, g_hi
     while c - a > b_tol:
         mid = 0.5 * (a + c)
         if mid <= a or mid >= c:
             break
-        g_mid = ws.energy(mid)
         evals += 1
-        reached = g_mid >= target if increasing else g_mid <= target
-        if reached:
-            c, g_c = mid, g_mid
+        if increasing:
+            reached = ws.at_least(mid, target)
         else:
-            a, g_a = mid, g_mid
-    if increasing:
-        return a, g_a, evals, False
-    return c, g_c, evals, False
+            reached = not ws.at_least(mid, target, strict=True)
+        if reached:
+            c = mid
+        else:
+            a = mid
+    return (a if increasing else c), evals, False
 
 
 def _sweep_stage(
@@ -648,7 +744,8 @@ def _sweep_stage(
                 config, j, C1_est, float(cos_nodes[j].min())
             )
             b_tol_j = tol.b_tol * float(tgt.norms[j])
-            bj, gj, evals, exhausted = _bisect_coordinate(
+            ws.restrict()
+            bj, evals, exhausted = _bisect_coordinate(
                 ws, lo, hi, target_j, b_tol_j, increasing
             )
             b[j] = bj
@@ -766,12 +863,13 @@ def verify_weak(
     For an atomic target measure it suffices to check the singletons and
     additivity: every G_j >= g_j - tol, equality within tol away from the
     anchor, and the per-target sums reassemble the total transmitted energy.
+    The total is `refractor.total_transmitted`, the exactly rounded sum of
+    the same measures, so it is taken from them rather than recomputed.
     """
     rule = rule or config.rule()
     tol_abs = config.tolerances.measure_tol * config.targets.total
     G = refractor.measures(state, rule, config.density)
-    total = refractor.total_transmitted(state, rule, config.density)
-    sum_G = math.fsum(G)
+    total = sum_G = math.fsum(G)
     cert: list[dict] = []
 
     def entry(name, lhs, op, rhs, ok):
