@@ -274,8 +274,19 @@ def export_surface(state: RefractorState, rule, path: str, fmt: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_trace_csv(state: RefractorState, rule, margin, path: str) -> None:
-    Z, m_dir, assigned, tie, focus_err, r, t = trace_field(state, rule, margin)
+# Rows per write of the trace CSV: one %-format call formats a whole block.
+_CSV_BLOCK = 4096
+
+
+def write_trace_csv(field, rule, path: str) -> None:
+    """Write one CSV row per node of `field = trace_field(state, rule, margin)`.
+
+    Floats are written as `format(x, ".17g")`; x, z and m are "nan" where
+    NaN, and the focus error (to the assigned target), r and t are "nan" on
+    tie nodes.  Any other non-finite value raises ValueError, like
+    `_fmt_float`, before anything is written.
+    """
+    Z, m_dir, assigned, tie, focus_err, r, t = field
     dim = rule.domain.dim
     cols = (
         [f"x{i}" for i in range(dim)]
@@ -283,22 +294,27 @@ def write_trace_csv(state: RefractorState, rule, margin, path: str) -> None:
         + [f"m{i}" for i in range(dim)]
         + ["active", "focus_error", "r", "t", "skipped"]
     )
-    ok = ~tie
-    best_err = np.full(rule.count, np.nan)
-    if np.any(ok):
-        idx = np.nonzero(ok)[0]
-        best_err[idx] = focus_err[idx, assigned[idx]]
+    ray = np.column_stack([focus_err[np.arange(rule.count), assigned], r, t])
+    ray[tie] = np.nan
+    geo = np.hstack([rule.nodes, Z, m_dir])
+    ray_ok = ray[~tie]
+    bad = np.concatenate([geo[np.isinf(geo)], ray_ok[~np.isfinite(ray_ok)]])
+    if bad.size:
+        raise ValueError(f"non-finite number in report: {bad[0]}")
+    n_geo = geo.shape[1]
+    row_fmt = ",".join(["%.17g"] * n_geo + ["%d"] + ["%.17g"] * 3 + ["%s"]) + "\n"
+    skipped = np.where(tie, "true", "false")
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(rule.count):
-            row = list(rule.nodes[i]) + list(Z[i]) + list(m_dir[i])
-            vals = [(_fmt_float(v) if v == v else "nan") for v in row]
-            vals.append(str(int(assigned[i])))
-            vals.append(_fmt_float(best_err[i]) if ok[i] else "nan")
-            vals.append(_fmt_float(r[i]) if ok[i] else "nan")
-            vals.append(_fmt_float(t[i]) if ok[i] else "nan")
-            vals.append("true" if tie[i] else "false")
-            fh.write(",".join(vals) + "\n")
+        for lo in range(0, rule.count, _CSV_BLOCK):
+            blk = slice(lo, lo + _CSV_BLOCK)
+            block = geo[blk]
+            cells = np.empty((len(block), n_geo + 5), dtype=object)
+            cells[:, :n_geo] = block
+            cells[:, n_geo] = assigned[blk]
+            cells[:, n_geo + 1:n_geo + 4] = ray[blk]
+            cells[:, -1] = skipped[blk]
+            fh.write(row_fmt * len(cells) % tuple(cells.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +352,10 @@ def cmd_solve(args) -> int:
     t1 = time.perf_counter()
     report = solver.solve_discrete(config, rule)
     t2 = time.perf_counter()
-    ok_weak, certificate = solver.verify_weak(report.state, config, rule)
-    audit = energy_audit(report.state, rule, config.density)
+    ok_weak, certificate = solver.verify_weak(
+        report.state, config, rule, measures=report.measures
+    )
+    audit = energy_audit(report.state, rule, config.density, measures=report.measures)
     t3 = time.perf_counter()
     doc = {
         "config": echo,
@@ -365,8 +383,9 @@ def cmd_trace(args) -> int:
     config, echo = load_config(args.config)
     rule = config.rule()
     state = _state_from_report(config, args.state)
-    write_trace_csv(state, rule, None, args.out_csv)
-    audit = energy_audit(state, rule, config.density)
+    field = trace_field(state, rule)
+    write_trace_csv(field, rule, args.out_csv)
+    audit = energy_audit(state, rule, config.density, field=field)
     doc = {"config": echo, "audit": audit.to_dict()}
     _write_or_print(finalize_report(doc, {}), args.out)
     return EXIT_OK

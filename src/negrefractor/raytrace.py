@@ -89,6 +89,29 @@ def trace_one(
     return TraceResult(x, z, nu, m, j, err, r, t, False)
 
 
+# Nodes per block of the focus-error step: (_FOCUS_BLOCK, m) float64
+# temporaries instead of (N, m) ones; the values do not depend on it.
+_FOCUS_BLOCK = 4096
+
+
+def _focus_errors(points: np.ndarray, Z: np.ndarray, m_ok: np.ndarray,
+                  m_dir: np.ndarray) -> np.ndarray:
+    """(n, m) distances from the half-lines {Z + s m_dir, s >= 0} to every
+    target, summed component by component; m_ok is m_dir with tie rows zeroed.
+    Elementwise per node, so any split of the nodes gives the same bits."""
+    rel = [points[None, :, k] - Z[:, k, None] for k in range(Z.shape[1])]
+    s = rel[0] * m_ok[:, :1]
+    for k in range(1, len(rel)):
+        s += rel[k] * m_ok[:, k:k + 1]
+    np.maximum(s, 0.0, out=s)
+    sq = np.zeros_like(s)
+    for k, rel_k in enumerate(rel):
+        rel_k -= s * m_dir[:, k:k + 1]
+        rel_k *= rel_k
+        sq += rel_k
+    return np.sqrt(sq, out=sq)
+
+
 def trace_field(
     state: RefractorState,
     rule: QuadratureRule,
@@ -117,21 +140,14 @@ def trace_field(
         lam = fresnel.phi(detmath.dot_rows(X[mask], nu), kappa)
         m_dir[mask] = (X[mask] - lam[:, None] * nu) / kappa
 
-    # distance from each refracted half-line to every target, (N, m) arrays
-    # summed component by component
+    # distance from each refracted half-line to every target, in blocks of
+    # nodes so the (block, m) temporaries stay small
     m_ok = np.where(ok[:, None], m_dir, 0.0)
-    rel = [state.targets.points[None, :, k] - Z[:, k, None] for k in range(X.shape[1])]
-    s = rel[0] * m_ok[:, :1]
-    for k in range(1, len(rel)):
-        s += rel[k] * m_ok[:, k:k + 1]
-    np.maximum(s, 0.0, out=s)
-    sq = np.zeros_like(s)
-    for k, rel_k in enumerate(rel):
-        rel_k -= s * m_dir[:, k:k + 1]
-        rel_k *= rel_k
-        sq += rel_k
-    focus_err = np.full((rule.count, state.targets.count), np.nan)
-    focus_err[ok] = np.sqrt(sq[ok])
+    focus_err = np.empty((rule.count, state.targets.count))
+    for lo in range(0, rule.count, _FOCUS_BLOCK):
+        blk = slice(lo, lo + _FOCUS_BLOCK)
+        focus_err[blk] = _focus_errors(state.targets.points, Z[blk], m_ok[blk], m_dir[blk])
+    focus_err[tie] = np.nan
 
     c = detmath.dot_rows(X, m_ok)
     r = np.zeros(rule.count)
@@ -151,14 +167,23 @@ def energy_audit(
     rule: QuadratureRule,
     density: EmissionDensity,
     margin: AdmissibilityMargin | None = None,
+    *,
+    field: tuple | None = None,
+    measures: np.ndarray | None = None,
 ) -> AuditReport:
     """Bin ray energy by nearest focus and reconcile with the measures.
 
     Tie nodes cannot be traced (no unique normal); their energy is assigned
     by the same lowest-index rule the measures use, so the two ledgers stay
     comparable.  Non-tie rays are binned by minimal focus error.
+
+    `field` is `trace_field(state, rule, margin)` and `measures` is
+    `refractor.measures(state, rule, density, margin)`, for a caller that
+    already has them; each is computed here when not given.
     """
-    Z, m_dir, assigned, tie, focus_err, r, t = trace_field(state, rule, margin)
+    if field is None:
+        field = trace_field(state, rule, margin)
+    Z, m_dir, assigned, tie, focus_err, r, t = field
     fvals = density.values_on(rule)
     w = rule.weights
     ok = ~tie
@@ -184,7 +209,8 @@ def energy_audit(
     )
     reflected = math.fsum(w * fvals * r_full)
     incident = math.fsum(w * fvals)
-    measures = refractor.measures(state, rule, density, margin)
+    if measures is None:
+        measures = refractor.measures(state, rule, density, margin)
     scale = max(float(state.targets.norms.min()), 1e-300)
     return AuditReport(
         per_target=transported,

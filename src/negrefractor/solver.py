@@ -566,18 +566,41 @@ class _CoordinateWorkspace:
         self.critical = regime is Regime.CRITICAL
         self.early = regime is not Regime.MILD
         self.tie_tol = 1e-9
+        # envelope of sheet rows and the value of an empty one
+        self.env = np.maximum if self.is_max else np.minimum
+        self.no_sheet = -np.inf if self.is_max else np.inf
+        self.end_sweep()
+
+    def end_sweep(self):
+        """Drop the envelopes kept across visits; call it whenever rows of H
+        change other than row j during visit j of a sweep."""
+        self.after = self.high = None  # `high` is a view into `after`
+        self.low_rows = None  # the leading rows of H that `low` covers
 
     def begin(self, j: int):
+        """Envelopes of the lower-indexed (`low`), the higher-indexed
+        (`high`) and all other (`other`) sheets.
+
+        A sweep visits j = 1, 2, ... in order and rewrites only row j during
+        visit j, so `low` folds in the previous visit's final row, and the
+        envelopes of the rows after each j, taken at the first visit, stay
+        valid until `end_sweep`.  Max and min are exact, so folding rows in
+        any order gives the same envelope.
+        """
         self.j = j
         H = self.H
-        if self.is_max:
-            self.low = np.max(H[:j], axis=0, initial=-np.inf)
-            self.high = np.max(H[j + 1:], axis=0, initial=-np.inf)
-            self.other = np.maximum(self.low, self.high)
+        if self.after is None:
+            self.after = np.empty_like(H)
+            self.after[-1] = self.no_sheet
+            for k in range(H.shape[0] - 2, -1, -1):
+                self.env(self.after[k + 1], H[k + 1], out=self.after[k])
+        if self.low_rows == j - 1:
+            self.low = self.env(self.low, H[j - 1])
         else:
-            self.low = np.min(H[:j], axis=0, initial=np.inf)
-            self.high = np.min(H[j + 1:], axis=0, initial=np.inf)
-            self.other = np.minimum(self.low, self.high)
+            self.low = self.env.reduce(H[:j], axis=0, initial=self.no_sheet)
+        self.low_rows = j
+        self.high = self.after[j]
+        self.other = self.env(self.low, self.high)
         self.P = self.config.targets.points[j]
         self.p2 = detmath.dot(self.P, self.P)
         self.dots = detmath.dot_rows(self.rule.nodes, self.P)
@@ -752,6 +775,7 @@ def _sweep_stage(
             H[j] = ws.radii_row(bj)
             counts.append(evals + 1)
             exhausted_any = exhausted_any or exhausted
+        ws.end_sweep()  # frees its (m, N) envelopes before `measures` runs
         state = state.with_b(b.copy())
         G = refractor.measures(state, rule, config.density)
         resid = float(np.max(np.abs(G[1:] - tgt.weights[1:])))
@@ -857,6 +881,8 @@ def verify_weak(
     state: RefractorState,
     config: ProblemConfig,
     rule: QuadratureRule | None = None,
+    *,
+    measures: np.ndarray | None = None,
 ) -> tuple[bool, list[dict]]:
     """Certificate that the state realizes the target measure weakly.
 
@@ -865,10 +891,12 @@ def verify_weak(
     anchor, and the per-target sums reassemble the total transmitted energy.
     The total is `refractor.total_transmitted`, the exactly rounded sum of
     the same measures, so it is taken from them rather than recomputed.
+    `measures` is `refractor.measures(state, rule, config.density)`, for a
+    caller that already has them; computed here when not given.
     """
     rule = rule or config.rule()
     tol_abs = config.tolerances.measure_tol * config.targets.total
-    G = refractor.measures(state, rule, config.density)
+    G = refractor.measures(state, rule, config.density) if measures is None else measures
     total = sum_G = math.fsum(G)
     cert: list[dict] = []
 

@@ -144,3 +144,16 @@ def strong_pair_solution():
     sol = nr.solve_discrete(cfg)
     assert sol.converged
     return cfg, sol
+
+
+def duplicate_sheet_state(third_sheet=False):
+    """Two identical sheets on one target point over a 30-degree cap at
+    level 4 (512 nodes): every node is a tie.  With `third_sheet`, a sheet
+    aimed 5 degrees off axis takes 296 nodes and 216 ties remain."""
+    P = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [np.sin(5 * DEG), 0.0, np.cos(5 * DEG)]])
+    m = 3 if third_sheet else 2
+    state = nr.RefractorState(
+        nr.MediumPair(-1.5), nr.TargetSpec(P[:m], np.full(m, 0.1)), np.full(m, -1.49),
+    )
+    rule = nr.build_quadrature(nr.make_cap([0.0, 0.0, 1.0], 30 * DEG, 3), 4)
+    return state, rule

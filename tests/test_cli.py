@@ -8,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import negrefractor
-from conftest import solvable_config
-from negrefractor import cli
+from conftest import duplicate_sheet_state, solvable_config, symmetric_pair_config
+from negrefractor import cli, raytrace, solver
 
 DATA = Path(__file__).parent / "data"
 
@@ -229,9 +232,9 @@ def test_fresnel_table(tmp_path):
         assert abs(r - (0.5 * p * p + 0.5 * q * q)) <= 1e-15
 
 
-def test_two_dimensional_solve_and_polyline_export(tmp_path):
+def _two_dimensional_doc(level):
     a = math.radians(4.0)
-    doc = {
+    return {
         "kappa": -1.5,
         "dimension": 2,
         "source": {"axis": [0.0, 1.0], "half_angle_deg": 30.0, "density": "uniform"},
@@ -243,9 +246,12 @@ def test_two_dimensional_solve_and_polyline_export(tmp_path):
         "b1": -1.4972,
         "tau": 1.2,
         "r0": 0.085,
-        "quadrature_level": 8,
+        "quadrature_level": level,
     }
-    cfgp = _write(tmp_path, doc, "flat.json")
+
+
+def test_two_dimensional_solve_and_polyline_export(tmp_path):
+    cfgp = _write(tmp_path, _two_dimensional_doc(8), "flat.json")
     report = tmp_path / "report2d.json"
     assert cli.main(["solve", cfgp, "--out", str(report)]) == 0
     poly = tmp_path / "surface.csv"
@@ -271,3 +277,144 @@ def test_tabulated_density_must_match_rule(tmp_path):
 def test_canonical_json_17_digits():
     assert cli.canonical_json(1.0 / 3.0) == "0.33333333333333331"
     assert cli.canonical_json({"a": [1, 2.5, True, None, "s"]}) == '{"a":[1,2.5,true,null,"s"]}'
+
+
+# ---------------------------------------------------------------------------
+# trace CSV
+# ---------------------------------------------------------------------------
+
+def _reference_trace_csv(field, rule, path):
+    """One `_fmt_float` call per cell, row by row: the writer the block
+    writer must reproduce byte for byte."""
+    Z, m_dir, assigned, tie, focus_err, r, t = field
+    dim = rule.domain.dim
+    cols = (
+        [f"x{i}" for i in range(dim)]
+        + [f"z{i}" for i in range(dim)]
+        + [f"m{i}" for i in range(dim)]
+        + ["active", "focus_error", "r", "t", "skipped"]
+    )
+    ok = ~tie
+    best_err = np.full(rule.count, np.nan)
+    if np.any(ok):
+        idx = np.nonzero(ok)[0]
+        best_err[idx] = focus_err[idx, assigned[idx]]
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(rule.count):
+            row = list(rule.nodes[i]) + list(Z[i]) + list(m_dir[i])
+            vals = [(cli._fmt_float(v) if v == v else "nan") for v in row]
+            vals.append(str(int(assigned[i])))
+            vals.append(cli._fmt_float(best_err[i]) if ok[i] else "nan")
+            vals.append(cli._fmt_float(r[i]) if ok[i] else "nan")
+            vals.append(cli._fmt_float(t[i]) if ok[i] else "nan")
+            vals.append("true" if tie[i] else "false")
+            fh.write(",".join(vals) + "\n")
+
+
+def _csv_case(name, tmp_path):
+    """(state, rule) of a 3-D solve (2048 nodes), a duplicate-sheet state
+    with some or only tie nodes (512 nodes) or a 2-D solve (4096 nodes)."""
+    if name.endswith("_ties"):
+        return duplicate_sheet_state(third_sheet=name == "mixed_ties")
+    if name == "solve_3d":
+        cfg = symmetric_pair_config(-1.5, level=5)
+    else:
+        cfg, _ = cli.load_config(_write(tmp_path, _two_dimensional_doc(6)))
+    rule = cfg.rule()
+    return solver.solve_discrete(cfg, rule).state, rule
+
+
+@pytest.mark.parametrize("name", ["solve_3d", "mixed_ties", "all_ties", "solve_2d"])
+def test_trace_csv_matches_per_row_reference(tmp_path, monkeypatch, name):
+    state, rule = _csv_case(name, tmp_path)
+    field = raytrace.trace_field(state, rule)
+    ref = tmp_path / "ref.csv"
+    _reference_trace_csv(field, rule, ref)
+    text = ref.read_bytes()
+    assert text.count(b"\n") == 1 + rule.count
+    if name.endswith("_ties"):
+        assert b",nan,nan,nan,0,nan,nan,nan,true\n" in text
+        assert (b"false" in text) == (name == "mixed_ties")
+    # the default block, one that divides no node count, and one row
+    for block in (cli._CSV_BLOCK, 1000, 1):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        out = tmp_path / f"rays-{block}.csv"
+        cli.write_trace_csv(field, rule, str(out))
+        assert out.read_bytes() == text, block
+
+
+def _injected(field, k, i, value):
+    arrays = [a.copy() for a in field]
+    arrays[k][i] = value
+    return tuple(arrays)
+
+
+def test_trace_csv_refuses_non_finite_values(tmp_path):
+    state, rule = _csv_case("mixed_ties", tmp_path)
+    field = raytrace.trace_field(state, rule)
+    tie = field[3]
+    i = int(np.argmin(tie))  # a traced node
+    assert tie.any() and not tie[i]
+    out = str(tmp_path / "rays.csv")
+    Z, r = 0, 5
+    for bad in (
+        _injected(field, Z, (i, 1), np.inf),
+        _injected(field, Z, (i, 2), -np.inf),
+        _injected(field, r, i, np.nan),
+        _injected(field, r, i, np.inf),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli.write_trace_csv(bad, rule, out)
+        with pytest.raises(ValueError, match="non-finite"):
+            _reference_trace_csv(bad, rule, out)
+    # NaN geometry is written as nan, and a tie node's r is never written
+    j = int(np.argmax(tie))
+    for fine in (_injected(field, Z, (i, 0), np.nan), _injected(field, r, j, np.inf)):
+        cli.write_trace_csv(fine, rule, out)
+        text = Path(out).read_bytes()
+        _reference_trace_csv(fine, rule, out)
+        assert Path(out).read_bytes() == text
+
+
+@pytest.fixture(scope="module")
+def solved_report(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trace")
+    cfgp = _write(tmp, _config_dict(quadrature_level=5))
+    report = tmp / "report.json"
+    assert cli.main(["solve", cfgp, "--out", str(report)]) in (0, cli.EXIT_NONCONVERGENCE)
+    return cfgp, str(report)
+
+
+def _trace_argv(solved_report, tmp_path):
+    cfgp, report = solved_report
+    return ["trace", cfgp, "--state", report,
+            "--out-csv", str(tmp_path / "rays.csv"), "--out", str(tmp_path / "audit.json")]
+
+
+def test_trace_traces_the_field_once(tmp_path, monkeypatch, solved_report):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return trace_field(*args, **kwargs)
+
+    trace_field = raytrace.trace_field
+    monkeypatch.setattr(raytrace, "trace_field", counted)
+    monkeypatch.setattr(cli, "trace_field", counted)
+    assert cli.main(_trace_argv(solved_report, tmp_path)) == cli.EXIT_OK
+    assert len(calls) == 1
+    doc = json.loads((tmp_path / "audit.json").read_text())
+    assert doc["report"]["audit"]["miss_count"] == 0
+
+
+def test_trace_with_non_finite_values_is_a_validation_error(tmp_path, monkeypatch, solved_report):
+    trace_field = raytrace.trace_field
+
+    def poisoned(state, rule, margin=None):
+        field = trace_field(state, rule, margin)
+        i = int(np.argmin(field[3]))
+        return _injected(field, 5, i, np.nan)
+
+    monkeypatch.setattr(cli, "trace_field", poisoned)
+    assert cli.main(_trace_argv(solved_report, tmp_path)) == cli.EXIT_VALIDATION

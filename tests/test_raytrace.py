@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import negrefractor as nr
+from negrefractor import detmath, fresnel, ovals, raytrace
 from negrefractor.raytrace import energy_audit, trace_field, trace_one
-from negrefractor.refractor import RefractorState
-from conftest import DEG, symmetric_pair_config
+from negrefractor.refractor import RefractorState, assign_envelope, sheet_radii
+from conftest import duplicate_sheet_state, solvable_config, symmetric_pair_config
 
 
 def _single_state(kappa=-1.5, b=-1.49):
@@ -87,15 +88,81 @@ def test_trace_field_matches_trace_one():
 
 def test_audit_with_ties_still_balances():
     # duplicate sheets: every node is a tie; energy is still fully accounted
-    P = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    dup = RefractorState(
-        nr.MediumPair(-1.5), nr.TargetSpec(P, np.array([0.1, 0.1])),
-        np.array([-1.49, -1.49]),
-    )
-    cap = nr.make_cap([0.0, 0.0, 1.0], 30 * DEG, 3)
-    rule = nr.build_quadrature(cap, 4)
+    dup, rule = duplicate_sheet_state()
     audit = energy_audit(dup, rule, nr.EmissionDensity.uniform(1.0))
     assert audit.skipped_fraction == 1.0
     incident = float(np.sum(rule.weights))
     assert abs(audit.per_target.sum() + audit.reflected - incident) <= 1e-12 * incident
     assert audit.max_discrepancy <= 1e-15
+
+
+def _reference_trace_field(state, rule, margin=None):
+    """`trace_field` with the focus-error step over all nodes at once: the
+    whole-array computation the node blocks must reproduce bit for bit."""
+    X = rule.nodes
+    H = sheet_radii(state, X)
+    rho, assigned, tie = assign_envelope(H, state.envelope_sense, state.tie_tol)
+    Z = rho[:, None] * X
+    kappa = state.medium.kappa
+    m_dir = np.full_like(X, np.nan)
+    ok = ~tie
+    for j in range(state.targets.count):
+        mask = ok & (assigned == j)
+        if not np.any(mask):
+            continue
+        to_focus = state.targets.points[j][None, :] - Z[mask]
+        mhat = to_focus / detmath.norm_rows(to_focus)[:, None]
+        nu = X[mask] - kappa * mhat
+        nu /= detmath.norm_rows(nu)[:, None]
+        lam = fresnel.phi(detmath.dot_rows(X[mask], nu), kappa)
+        m_dir[mask] = (X[mask] - lam[:, None] * nu) / kappa
+
+    m_ok = np.where(ok[:, None], m_dir, 0.0)
+    rel = [state.targets.points[None, :, k] - Z[:, k, None] for k in range(X.shape[1])]
+    s = rel[0] * m_ok[:, :1]
+    for k in range(1, len(rel)):
+        s += rel[k] * m_ok[:, k:k + 1]
+    np.maximum(s, 0.0, out=s)
+    sq = np.zeros_like(s)
+    for k, rel_k in enumerate(rel):
+        rel_k -= s * m_dir[:, k:k + 1]
+        rel_k *= rel_k
+        sq += rel_k
+    focus_err = np.full((rule.count, state.targets.count), np.nan)
+    focus_err[ok] = np.sqrt(sq[ok])
+
+    c = detmath.dot_rows(X, m_ok)
+    r = np.zeros(rule.count)
+    if state.medium.regime is not ovals.Regime.CRITICAL:
+        r[ok] = np.asarray(fresnel.reflectance(c[ok], state.medium, margin))
+    t = 1.0 - r
+    return Z, m_dir, assigned, tie, focus_err, r, t
+
+
+def _blocked_trace_cases():
+    # solved four-target states in all three regimes, a solved mirrored
+    # pair, and duplicate-sheet states with some and with only tie nodes
+    for kappa in (-1.5, -0.5, -1.0):
+        cfg = solvable_config(kappa, 4, seed=52, level=5)
+        rule = cfg.rule()
+        yield f"solved{kappa}", nr.solve_discrete(cfg, rule).state, rule
+    cfg = symmetric_pair_config(-1.5, level=5)
+    rule = cfg.rule()
+    yield "mirrored", nr.solve_discrete(cfg, rule).state, rule
+    yield "mixed_ties", *duplicate_sheet_state(third_sheet=True)
+    yield "all_ties", *duplicate_sheet_state()
+
+
+@pytest.mark.parametrize("block", [1000, 7, raytrace._FOCUS_BLOCK])
+def test_blocked_trace_field_matches_whole_array_reference(monkeypatch, block):
+    monkeypatch.setattr(raytrace, "_FOCUS_BLOCK", block)
+    for name, state, rule in _blocked_trace_cases():
+        assert rule.count % block, (name, rule.count, block)
+        ref = _reference_trace_field(state, rule)
+        got = trace_field(state, rule)
+        assert len(got) == len(ref) == 7
+        for k, (a, b) in enumerate(zip(got, ref)):
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, k)
+            assert np.array_equal(a, b, equal_nan=True), (name, k)
+        if name == "mixed_ties":
+            assert got[4].shape[1] == 3 and 0 < got[3].sum() < rule.count

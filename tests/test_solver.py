@@ -523,6 +523,38 @@ def test_early_decisions_are_taken():
     assert len(calls) == 1 and 0 < calls[0] < len(ws._nodes(hi))
 
 
+@pytest.mark.parametrize("kappa", [-1.5, -0.5])  # max and min envelopes
+def test_begin_envelopes_equal_full_reductions(monkeypatch, kappa):
+    # every visit of every sweep of a short solve, while the sweeps rewrite
+    # rows of H: the cached envelopes equal np.max / np.min over H's rows
+    visits = []
+    begin = solver._CoordinateWorkspace.begin
+
+    def checked(ws, j):
+        begin(ws, j)
+        H = ws.H
+        if ws.is_max:
+            low = np.max(H[:j], axis=0, initial=-np.inf)
+            high = np.max(H[j + 1:], axis=0, initial=-np.inf)
+            other = np.maximum(low, high)
+        else:
+            low = np.min(H[:j], axis=0, initial=np.inf)
+            high = np.min(H[j + 1:], axis=0, initial=np.inf)
+            other = np.minimum(low, high)
+        for got, ref in ((ws.low, low), (ws.high, high), (ws.other, other)):
+            assert got.tobytes() == ref.tobytes()
+        visits.append((j, H.copy()))
+
+    monkeypatch.setattr(solver._CoordinateWorkspace, "begin", checked)
+    cfg = solvable_config(kappa, 4, seed=61, level=4)
+    sol = solve_discrete(cfg)
+    assert sol.state.envelope_sense == ("max" if kappa < -1.0 else "min")
+    assert len(visits) == 3 * len(sol.sweeps) >= 6
+    assert [j for j, _ in visits[:6]] == [1, 2, 3, 1, 2, 3]
+    # rows were rewritten between visits, so the cache had something to track
+    assert any(not np.array_equal(a[1], b[1]) for a, b in zip(visits, visits[1:]))
+
+
 # ---------------------------------------------------------------------------
 # support decided by the extreme-d nodes
 # ---------------------------------------------------------------------------
