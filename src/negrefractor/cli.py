@@ -26,7 +26,7 @@ from . import __version__, detmath, fresnel, solver
 from .fresnel import AdmissibilityMargin, MediumPair
 from .geometry import make_cap
 from .raytrace import energy_audit, trace_field
-from .refractor import EmissionDensity, RefractorState, TargetSpec
+from .refractor import EmissionDensity, RefractorState, TargetSpec, assign_envelope, sheet_radii
 from .solver import ProblemConfig, Tolerances, ValidationFailure
 
 EXIT_OK = 0
@@ -204,6 +204,7 @@ def load_config(path: str):
         b_tol=_number(tol_raw.get("b_tol", 1e-10), "b_tol"),
         max_outer=int(tol_raw.get("max_outer", 200)),
     )
+    # accepted and echoed for compatibility; nothing in a run depends on it
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SchemaError("seed must be an integer")
@@ -227,7 +228,6 @@ def load_config(path: str):
         r0=r0 / scale,
         quadrature_level=level,
         tolerances=tolerances,
-        seed=seed,
     )
     echo = dict(raw)
     echo["normalization_scale"] = scale
@@ -240,10 +240,8 @@ def load_config(path: str):
 
 def export_surface(state: RefractorState, rule, path: str, fmt: str) -> None:
     """Write the envelope surface: OBJ triangle mesh (n=3) or CSV polyline (n=2)."""
-    from .refractor import assign_envelope, sheet_radii
-
     H = sheet_radii(state, rule.nodes)
-    rho, _, _ = assign_envelope(H, state.envelope_sense, state.tie_tol)
+    rho, _, _ = assign_envelope(H, state.regime)
     if fmt == "csv":
         if rule.domain.dim != 2:
             raise ValueError("csv polyline export is for 2-D surfaces")
@@ -394,13 +392,12 @@ def cmd_trace(args) -> int:
 def cmd_fresnel_table(args) -> int:
     medium = MediumPair(kappa=args.kappa, sigma=args.sigma, alpha=args.alpha)
     margin = AdmissibilityMargin(args.epsilon)
-    t_min, t_max = margin.window(args.kappa)
-    if medium.regime is fresnel.Regime.CRITICAL:
-        t_min = -1.0 + args.epsilon
+    _, t_max = margin.window(args.kappa)  # raises when the margin empties it
+    t_min = medium.regime.window_floor(args.kappa) + args.epsilon
     cs = np.linspace(t_min, t_max, args.samples)
     rows = ["c,p,q,r,t"]
     for c in cs:
-        if medium.regime is fresnel.Regime.CRITICAL:
+        if medium.regime.lossless:
             p = q = 0.0
             r = 0.0
         else:

@@ -18,7 +18,7 @@ q are monotone on the window.  At kappa = -1 all energy is transmitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +41,10 @@ class MediumPair:
     kappa: float
     sigma: float = 1.0
     alpha: float = 0.5
+    regime: Regime = field(init=False)
 
     def __post_init__(self):
-        regime_of(self.kappa)  # validates kappa < 0
+        object.__setattr__(self, "regime", regime_of(self.kappa))  # validates kappa < 0
         if not (self.sigma > 0.0):
             raise ValueError(f"impedance ratio must be positive, got {self.sigma}")
         if not (0.0 <= self.alpha <= 1.0):
@@ -52,10 +53,6 @@ class MediumPair:
     @property
     def beta(self) -> float:
         return 1.0 - self.alpha
-
-    @property
-    def regime(self) -> Regime:
-        return regime_of(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -70,9 +67,10 @@ class AdmissibilityMargin:
 
     def window(self, kappa: float) -> tuple[float, float]:
         reg = regime_of(kappa)
-        if reg is Regime.CRITICAL:
-            return (-1.0, 1.0)
-        t_min = (1.0 / kappa if reg is Regime.STRONG else kappa) + self.epsilon
+        if reg.lossless:
+            # the margin only keeps reflectance below 1; nothing reflects here
+            return (reg.window_floor(kappa), 1.0)
+        t_min = reg.window_floor(kappa) + self.epsilon
         if t_min >= 1.0:
             raise ValueError(
                 f"margin {self.epsilon} empties the admissible window for kappa={kappa}"
@@ -127,10 +125,8 @@ def q_coefficient(c, medium: MediumPair):
 def _check_window(c, medium: MediumPair, margin: AdmissibilityMargin | None):
     if margin is not None:
         t_min, _ = margin.window(medium.kappa)
-    elif medium.regime is Regime.STRONG:
-        t_min = 1.0 / medium.kappa
     else:
-        t_min = medium.kappa
+        t_min = medium.regime.window_floor(medium.kappa)
     c = np.asarray(c, dtype=float)
     # 1e-12 slack: rim-tangent rays land on the window edge up to roundoff
     if np.any(c < t_min - 1e-12) or np.any(c > 1.0 + 1e-12):
@@ -149,7 +145,7 @@ def reflectance(c, medium: MediumPair, margin: AdmissibilityMargin | None = None
     caller is never supposed to query there, so failing loudly beats
     silently returning r = 1.
     """
-    if medium.regime is Regime.CRITICAL:
+    if medium.regime.lossless:
         c = np.asarray(c, dtype=float)
         out = np.zeros_like(c)
         return float(out) if out.ndim == 0 else out
@@ -175,20 +171,10 @@ def reflectance_bound(medium: MediumPair, margin: AdmissibilityMargin) -> float:
     sum can peak in the interior when p and q cross zero at different
     cosines.)
     """
-    if medium.regime is Regime.CRITICAL:
+    if medium.regime.lossless:
         return 0.0
     t_min, t_max = margin.window(medium.kappa)
     ends = np.array([t_min, t_max])
     p2 = p_coefficient(ends, medium) ** 2
     q2 = q_coefficient(ends, medium) ** 2
     return float(medium.alpha * p2.max() + medium.beta * q2.max())
-
-
-def admissible_pair(x, m, medium: MediumPair, margin: AdmissibilityMargin) -> bool:
-    """True iff the incident/refracted pair satisfies the margin window."""
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if medium.regime is Regime.CRITICAL:
-        return True
-    t_min, _ = margin.window(medium.kappa)
-    return float(x @ m) >= t_min

@@ -69,10 +69,6 @@ class SourceDomain:
             raise ValueError(f"expected dimension {self.dim}, got {x.size}")
         return detmath.dot(x, self.axis) >= self.cos_half_angle - COS_SLACK
 
-    def contains_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return detmath.dot_rows(X, self.axis) >= self.cos_half_angle - COS_SLACK
-
 
 def make_cap(axis, half_angle: float, dim: int | None = None) -> SourceDomain:
     """Build the cap domain, validating axis and opening angle."""
@@ -159,14 +155,6 @@ def build_quadrature(domain: SourceDomain, level: int) -> QuadratureRule:
 def cap_measure(rule: QuadratureRule) -> float:
     """Total weight = approximate surface measure of the cap (exactly rounded)."""
     return math.fsum(rule.weights)
-
-
-def integrate(rule: QuadratureRule, values: np.ndarray) -> float:
-    """Weighted sum of per-node integrand values."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (rule.count,):
-        raise ValueError(f"expected {rule.count} values, got shape {values.shape}")
-    return float(np.sum(rule.weights * values))
 
 
 def neighbor_pairs(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:

@@ -33,9 +33,31 @@ DISC_SLACK = 1e-12
 
 
 class Regime(enum.Enum):
+    """The three cases of the relative index, and the rules each one fixes."""
+
     STRONG = "strong"      # kappa < -1
     MILD = "mild"          # -1 < kappa < 0
     CRITICAL = "critical"  # kappa = -1
+
+    @property
+    def max_envelope(self) -> bool:
+        """Whether the envelope is max_j h_j (strong), not min_j h_j; G_j
+        grows with b_j exactly then, and falls otherwise."""
+        return self is Regime.STRONG
+
+    @property
+    def lossless(self) -> bool:
+        """Whether every ray is transmitted (kappa = -1, whatever sigma)."""
+        return self is Regime.CRITICAL
+
+    def window_floor(self, kappa: float) -> float:
+        """Least refraction cosine x . m that admits refraction: 1/kappa
+        (strong), kappa (mild) or -1 (critical)."""
+        if self is Regime.STRONG:
+            return 1.0 / kappa
+        if self is Regime.MILD:
+            return kappa
+        return -1.0
 
 
 class SupportConditionError(ValueError):
@@ -66,10 +88,6 @@ class Interval:
         if self.closed:
             return self.lo - slack <= value <= self.hi + slack
         return self.lo + slack < value < self.hi - slack
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def admissible_b(focus, kappa: float) -> Interval:

@@ -75,10 +75,10 @@ def trace_one(
 ) -> TraceResult:
     """Trace a single source direction through the envelope."""
     x = np.asarray(x, dtype=float)
-    rho, active, tie = refractor.evaluate(state, x)
-    j = int(active[0])
-    z = rho * x
-    if tie:
+    rho, assigned, tie = assign_envelope(sheet_radii(state, x[None]), state.regime)
+    j = int(assigned[0])
+    z = float(rho[0]) * x
+    if tie[0]:
         return TraceResult(x, z, None, None, j, np.nan, np.nan, np.nan, True)
     nu = ovals.normal_at(state.sheet(j), x)
     m = fresnel.refract(x, nu, state.medium.kappa)
@@ -124,7 +124,7 @@ def trace_field(
     """
     X = rule.nodes
     H = sheet_radii(state, X)
-    rho, assigned, tie = assign_envelope(H, state.envelope_sense, state.tie_tol)
+    rho, assigned, tie = assign_envelope(H, state.regime)
     Z = rho[:, None] * X
     kappa = state.medium.kappa
     m_dir = np.full_like(X, np.nan)
@@ -151,8 +151,7 @@ def trace_field(
 
     c = detmath.dot_rows(X, m_ok)
     r = np.zeros(rule.count)
-    if state.medium.regime is not ovals.Regime.CRITICAL:
-        r[ok] = np.asarray(fresnel.reflectance(c[ok], state.medium, margin))
+    r[ok] = np.asarray(fresnel.reflectance(c[ok], state.medium, margin))
     t = 1.0 - r
     return Z, m_dir, assigned, tie, focus_err, r, t
 
@@ -188,10 +187,16 @@ def energy_audit(
     w = rule.weights
     ok = ~tie
 
+    # nearest focus of each non-tie ray, in blocks of rows so no (N, m)
+    # copy of the focus errors is made
     bins = assigned.copy()
-    best = np.nanargmin(focus_err[ok], axis=1) if np.any(ok) else np.empty(0, int)
-    bins[ok] = best
-    best_err = focus_err[ok, best] if np.any(ok) else np.empty(0)
+    rays = np.flatnonzero(ok)
+    best_err = np.empty(rays.size)
+    for lo in range(0, rays.size, _FOCUS_BLOCK):
+        rows = rays[lo:lo + _FOCUS_BLOCK]
+        best = np.nanargmin(focus_err[rows], axis=1)
+        bins[rows] = best
+        best_err[lo:lo + _FOCUS_BLOCK] = focus_err[rows, best]
 
     # tie nodes transmit with the assigned sheet's geometric cosine
     t_full = t.copy()

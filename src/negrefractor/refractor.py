@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -29,13 +28,12 @@ from .fresnel import AdmissibilityMargin, MediumPair
 from .geometry import QuadratureRule, neighbor_pairs
 from .ovals import Regime
 
+# Relative tie band: a sheet within TIE_TOL * rho of the envelope is in band.
+TIE_TOL = 1e-9
+
 
 class ConfigurationError(ValueError):
     """A sheet is not evaluable somewhere on the aperture."""
-
-
-class TiePointError(ValueError):
-    """Query needs a unique supporting sheet but the point is a tie."""
 
 
 @dataclass(frozen=True)
@@ -75,14 +73,12 @@ class TargetSpec:
 class EmissionDensity:
     """Source intensity f over the aperture with inf f > 0.
 
-    Uniform, callable-of-direction, or tabulated per quadrature node
-    (tables enter only through node values, so their length must match the
-    rule they are used with).
+    Uniform, or tabulated per quadrature node (tables enter only through
+    node values, so their length must match the rule they are used with).
     """
 
     kind: str
     value: float = 1.0
-    fn: Callable | None = None
     table: np.ndarray | None = None
 
     @staticmethod
@@ -90,10 +86,6 @@ class EmissionDensity:
         if not (value > 0.0):
             raise ValueError("uniform density must be positive")
         return EmissionDensity(kind="uniform", value=float(value))
-
-    @staticmethod
-    def from_function(fn: Callable) -> "EmissionDensity":
-        return EmissionDensity(kind="function", fn=fn)
 
     @staticmethod
     def from_table(values) -> "EmissionDensity":
@@ -105,20 +97,12 @@ class EmissionDensity:
     def values_on(self, rule: QuadratureRule) -> np.ndarray:
         if self.kind == "uniform":
             return np.full(rule.count, self.value)
-        if self.kind == "function":
-            vals = np.apply_along_axis(self.fn, 1, rule.nodes).astype(float)
-            if np.any(vals <= 0.0):
-                raise ValueError("density function must be positive on all nodes")
-            return vals
         if self.table.shape != (rule.count,):
             raise ValueError(
                 f"tabulated density has {self.table.shape[0]} entries, "
                 f"rule has {rule.count} nodes"
             )
         return self.table
-
-    def floor_on(self, rule: QuadratureRule) -> float:
-        return float(np.min(self.values_on(rule)))
 
 
 @dataclass(frozen=True)
@@ -128,7 +112,6 @@ class RefractorState:
     medium: MediumPair
     targets: TargetSpec
     b: np.ndarray
-    tie_tol: float = 1e-9
     regime: Regime = field(init=False)
 
     def __post_init__(self):
@@ -144,17 +127,13 @@ class RefractorState:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "regime", self.medium.regime)
 
-    @property
-    def envelope_sense(self) -> str:
-        return "max" if self.regime is Regime.STRONG else "min"
-
     def sheet(self, j: int) -> ovals.OvalParams:
         return ovals.OvalParams(
             focus=self.targets.points[j], b=float(self.b[j]), kappa=self.medium.kappa
         )
 
     def with_b(self, b: np.ndarray) -> "RefractorState":
-        return RefractorState(self.medium, self.targets, b, self.tie_tol)
+        return RefractorState(self.medium, self.targets, b)
 
 
 # ---------------------------------------------------------------------------
@@ -179,60 +158,27 @@ def sheet_radii(state: RefractorState, X: np.ndarray) -> np.ndarray:
     return H
 
 
-def assign_envelope(H: np.ndarray, sense: str, tie_tol: float):
+def assign_envelope(H: np.ndarray, regime: Regime):
     """Envelope rho, lowest-index assignment, and tie flags from a radii matrix.
 
-    A sheet is 'in band' when within tie_tol * rho of the envelope; ties are
+    A sheet is 'in band' when within TIE_TOL * rho of the envelope; ties are
     nodes with more than one sheet in band.
     """
-    if sense == "max":
+    if regime.max_envelope:
         rho = H.max(axis=0)
-        band = H >= rho * (1.0 - tie_tol)
+        band = H >= rho * (1.0 - TIE_TOL)
     else:
         rho = H.min(axis=0)
-        band = H <= rho * (1.0 + tie_tol)
+        band = H <= rho * (1.0 + TIE_TOL)
     assigned = np.argmax(band, axis=0)
     tie = band.sum(axis=0) > 1
     return rho, assigned, tie
 
 
-def evaluate(state: RefractorState, x):
-    """Radius, active sheet index set, and tie flag at one direction."""
-    x = np.asarray(x, dtype=float)
-    H = sheet_radii(state, x[None, :])[:, 0]
-    if state.envelope_sense == "max":
-        rho = float(H.max())
-        active = np.nonzero(H >= rho * (1.0 - state.tie_tol))[0]
-    else:
-        rho = float(H.min())
-        active = np.nonzero(H <= rho * (1.0 + state.tie_tol))[0]
-    return rho, active, len(active) > 1
-
-
-def trace_indicator(state: RefractorState, j: int, x) -> bool:
-    """True iff direction x is assigned to sheet j (lowest index on ties)."""
-    _, active, _ = evaluate(state, x)
-    return int(active[0]) == j
-
-
-def surface_normal(state: RefractorState, x) -> np.ndarray:
-    """Outward unit normal of the unique active sheet; ties are singular."""
-    _, active, tie = evaluate(state, x)
-    if tie:
-        raise TiePointError(f"{len(active)} sheets active at x={x}")
-    return ovals.normal_at(state.sheet(int(active[0])), x)
-
-
-def transmission_at(state: RefractorState, x, margin: AdmissibilityMargin | None = None) -> float:
-    """Fresnel transmittance at x for the active sheet's refraction cosine."""
-    rho, active, tie = evaluate(state, x)
-    if tie:
-        raise TiePointError(f"tie at x={x}; transmittance undefined")
-    x = np.asarray(x, dtype=float)
-    j = int(active[0])
-    to_focus = state.targets.points[j] - rho * x
-    c = float(x @ to_focus) / float(np.linalg.norm(to_focus))
-    return float(fresnel.transmittance(c, state.medium, margin))
+def refraction_cosine(p2: float, r, dots):
+    """Cosine x . m of the direction m from z = r x toward a target P, given
+    p2 = |P|^2 and dots = x . P; elementwise over arrays."""
+    return (dots - r) / np.sqrt(np.maximum(p2 - 2.0 * r * dots + r * r, 0.0))
 
 
 def refraction_cosines(state: RefractorState, X, rho, assigned) -> np.ndarray:
@@ -244,10 +190,7 @@ def refraction_cosines(state: RefractorState, X, rho, assigned) -> np.ndarray:
         if not np.any(mask):
             continue
         P = state.targets.points[j]
-        dots = detmath.dot_rows(X[mask], P)
-        r = rho[mask]
-        dist = np.sqrt(np.maximum(detmath.dot(P, P) - 2.0 * r * dots + r * r, 0.0))
-        c[mask] = (dots - r) / dist
+        c[mask] = refraction_cosine(detmath.dot(P, P), rho[mask], detmath.dot_rows(X[mask], P))
     return c
 
 
@@ -268,12 +211,9 @@ def evaluate_field(
     margin: AdmissibilityMargin | None = None,
 ) -> FieldEvaluation:
     H = sheet_radii(state, rule.nodes)
-    rho, assigned, tie = assign_envelope(H, state.envelope_sense, state.tie_tol)
+    rho, assigned, tie = assign_envelope(H, state.regime)
     c = refraction_cosines(state, rule.nodes, rho, assigned)
     t = fresnel.transmittance(c, state.medium, margin)
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        t = np.full(rule.count, float(t))
     return FieldEvaluation(rho=rho, assigned=assigned, tie=tie, cosines=c, transmittance=t)
 
 
@@ -282,39 +222,17 @@ def measures(
     rule: QuadratureRule,
     density: EmissionDensity,
     margin: AdmissibilityMargin | None = None,
-    fieldeval: FieldEvaluation | None = None,
 ) -> np.ndarray:
     """Energy per target: G_j = sum_i w_i f_i t_i [assigned_i = j]."""
-    fe = fieldeval or evaluate_field(state, rule, margin)
+    fe = evaluate_field(state, rule, margin)
     contrib = rule.weights * density.values_on(rule) * fe.transmittance
     return np.bincount(fe.assigned, weights=contrib, minlength=state.targets.count)
-
-
-def measure_of_target(
-    state: RefractorState,
-    j: int,
-    rule: QuadratureRule,
-    density: EmissionDensity,
-    margin: AdmissibilityMargin | None = None,
-) -> float:
-    return float(measures(state, rule, density, margin)[j])
-
-
-def total_transmitted(
-    state: RefractorState,
-    rule: QuadratureRule,
-    density: EmissionDensity,
-    margin: AdmissibilityMargin | None = None,
-) -> float:
-    """Total transmitted energy: the exactly rounded sum of the per-target
-    measures."""
-    return math.fsum(measures(state, rule, density, margin))
 
 
 def lipschitz_estimate(state: RefractorState, rule: QuadratureRule) -> float:
     """Max finite-difference slope |rho(x)-rho(y)|/|x-y| over adjacent nodes."""
     H = sheet_radii(state, rule.nodes)
-    rho, _, _ = assign_envelope(H, state.envelope_sense, state.tie_tol)
+    rho, _, _ = assign_envelope(H, state.regime)
     ia, ib = neighbor_pairs(rule)
     dr = np.abs(rho[ia] - rho[ib])
     dx = np.linalg.norm(rule.nodes[ia] - rule.nodes[ib], axis=1)

@@ -22,14 +22,16 @@ import numpy as np
 
 from . import detmath, fresnel, ovals, refractor
 from .fresnel import AdmissibilityMargin, MediumPair
-from .geometry import QuadratureRule, SourceDomain, build_quadrature, unit
+from .geometry import QuadratureRule, SourceDomain, _orthonormal_frame, build_quadrature, unit
 from .ovals import Regime
 from .refractor import (
+    TIE_TOL,
     ConfigurationError,
     EmissionDensity,
     RefractorState,
     TargetSpec,
     assign_envelope,
+    refraction_cosine,
     sheet_radii,
 )
 
@@ -77,7 +79,6 @@ class ProblemConfig:
     r0: float
     quadrature_level: int = 8
     tolerances: Tolerances = field(default_factory=Tolerances)
-    seed: int = 0
 
     def rule(self) -> QuadratureRule:
         return build_quadrature(self.domain, self.quadrature_level)
@@ -102,10 +103,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(r.status != "fail" for r in self.records)
-
-    @property
-    def warnings(self) -> tuple:
-        return tuple(r for r in self.records if r.status == "warn")
 
     def to_dict(self) -> dict:
         return {
@@ -211,17 +208,16 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
         add(n_sep, True, "single target")
 
     # angular admissibility of every target from every aperture direction
-    if reg is Regime.CRITICAL:
+    threshold = config.margin.window(k)[0]
+    if reg.lossless:
         add(n_ang, True, "every direction pair refracts at kappa = -1")
-        c_eps = 0.0
     else:
-        threshold = (1.0 / k if reg is Regime.STRONG else k) + config.margin.epsilon
         add(
             n_ang,
             cos_min >= threshold,
             f"min x.P/|P| = {cos_min} >= {threshold}",
         )
-        c_eps = fresnel.reflectance_bound(med, config.margin)
+    c_eps = fresnel.reflectance_bound(med, config.margin)
 
     # energy surplus against the uniform reflectance bound
     flux = math.fsum(rule.weights * f_vals)
@@ -285,7 +281,7 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
                 f"min x.P1 = {anchor_cos.min() * p1} > b1 = {config.b1}",
             )
 
-    if reg is Regime.CRITICAL and med.sigma != 1.0:
+    if reg.lossless and med.sigma != 1.0:
         add(
             "impedance-critical",
             False,
@@ -295,15 +291,14 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
 
     # worst-case refraction-cosine erosion: the surface sits within r0 of the
     # origin, so x.m can undercut x.P/|P| by an r0-sized amount
-    if reg is not Regime.CRITICAL:
+    if not reg.lossless:
         num = cosines * tgt.norms[:, None] - config.r0
         den = np.where(num >= 0.0, tgt.norms[:, None] + config.r0, tgt.norms[:, None] - config.r0)
         eroded = float((num / den).min())
-        t_min = (1.0 / k if reg is Regime.STRONG else k) + config.margin.epsilon
         add(
             "margin-erosion",
-            eroded >= t_min,
-            f"conservative min x.m = {eroded} vs window floor {t_min}",
+            eroded >= threshold,
+            f"conservative min x.m = {eroded} vs window floor {threshold}",
             warn_only=True,
         )
 
@@ -515,7 +510,7 @@ class _CoordinateWorkspace:
     Three facts keep every probe bit-identical to a pass over all nodes.
 
     Superset.  Let `low` / `other` be the envelope of the lower-indexed / of
-    all other sheets, c = 1 - tie_tol (max envelope) or 1 + tie_tol (min),
+    all other sheets, c = 1 - TIE_TOL (max envelope) or 1 + TIE_TOL (min),
     and r* = other c where that lies above `low` (min: below), else low / c.
     Rounding is monotone, so a node owned at b has h(x) >= r* (1 - 2 eps)
     (min: h <= r* (1 + 2 eps)).  The sheet equation is explicit in b: sheet
@@ -562,10 +557,10 @@ class _CoordinateWorkspace:
         self.reach = np.cumsum(wf)
         self.kappa = config.medium.kappa
         regime = config.medium.regime
-        self.is_max = regime is Regime.STRONG
+        self.is_max = regime.max_envelope
+        self.lossless = regime.lossless
         self.critical = regime is Regime.CRITICAL
         self.early = regime is not Regime.MILD
-        self.tie_tol = 1e-9
         # envelope of sheet rows and the value of an empty one
         self.env = np.maximum if self.is_max else np.minimum
         self.no_sheet = -np.inf if self.is_max else np.inf
@@ -611,11 +606,11 @@ class _CoordinateWorkspace:
     def restrict(self):
         """Compute the switch parameters; later probes run on candidates."""
         if self.is_max:
-            edge = self.other * (1.0 - self.tie_tol)
-            r = np.where(edge > self.low, edge, self.low / (1.0 - self.tie_tol))
+            edge = self.other * (1.0 - TIE_TOL)
+            r = np.where(edge > self.low, edge, self.low / (1.0 - TIE_TOL))
         else:
-            edge = self.other * (1.0 + self.tie_tol)
-            r = np.where(edge < self.low, edge, self.low / (1.0 + self.tie_tol))
+            edge = self.other * (1.0 + TIE_TOL)
+            r = np.where(edge < self.low, edge, self.low / (1.0 + TIE_TOL))
         dist = np.sqrt(np.maximum(r * r - 2.0 * r * self.dots + self.p2, 0.0))
         self.switch = r - dist if self.critical else r + self.kappa * dist
 
@@ -641,18 +636,15 @@ class _CoordinateWorkspace:
         h, dots = h[2:], dots[2:]
         low = self.low[nodes]
         if self.is_max:
-            T = np.maximum(h, self.other[nodes]) * (1.0 - self.tie_tol)
+            T = np.maximum(h, self.other[nodes]) * (1.0 - TIE_TOL)
             mine = (h >= T) & (low < T)
         else:
-            T = np.minimum(h, self.other[nodes]) * (1.0 + self.tie_tol)
+            T = np.minimum(h, self.other[nodes]) * (1.0 + TIE_TOL)
             mine = (h <= T) & (low > T)
         wf = self.wf[nodes][mine]
-        if self.critical or not wf.size:
+        if self.lossless or not wf.size:
             return wf
-        hm = h[mine]
-        dm = dots[mine]
-        dist = np.sqrt(np.maximum(self.p2 - 2.0 * hm * dm + hm * hm, 0.0))
-        c = (dm - hm) / dist
+        c = refraction_cosine(self.p2, h[mine], dots[mine])
         return wf * fresnel.transmittance(c, self.config.medium)
 
     def energy(self, b: float) -> float:
@@ -738,7 +730,7 @@ def _sweep_stage(
     med, tgt = config.medium, config.targets
     m = tgt.count
     tol = config.tolerances
-    increasing = med.regime is Regime.STRONG
+    increasing = med.regime.max_envelope
     cos_nodes = _cosines_to_targets(rule, tgt)
     dens = config.density.values_on(rule)
     wf = rule.weights * dens
@@ -751,7 +743,7 @@ def _sweep_stage(
     G = refractor.measures(state, rule, config.density)
     b_prev = None
     for sweep in range(max_outer):
-        C1_est = float(assign_envelope(H, state.envelope_sense, state.tie_tol)[0].min())
+        C1_est = float(assign_envelope(H, state.regime)[0].min())
         counts = []
         exhausted_any = False
         for j in range(1, m):
@@ -821,7 +813,7 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
     if not report.passed:
         raise ValidationFailure(report)
 
-    med, tgt = config.medium, config.targets
+    tgt = config.targets
     m = tgt.count
     tol = config.tolerances
     mu = tgt.total
@@ -851,7 +843,7 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
             if resid > tol_abs:
                 status = "max_outer_exceeded"
 
-    rho, _, _ = assign_envelope(H, state.envelope_sense, state.tie_tol)
+    rho, _, _ = assign_envelope(H, state.regime)
     anchor_surplus = float(G[0] - tgt.weights[0])
     if status == "converged":
         if anchor_surplus < -tol_abs:
@@ -889,8 +881,8 @@ def verify_weak(
     For an atomic target measure it suffices to check the singletons and
     additivity: every G_j >= g_j - tol, equality within tol away from the
     anchor, and the per-target sums reassemble the total transmitted energy.
-    The total is `refractor.total_transmitted`, the exactly rounded sum of
-    the same measures, so it is taken from them rather than recomputed.
+    The total transmitted energy is the exactly rounded sum of the same
+    measures, so it is taken from them rather than recomputed.
     `measures` is `refractor.measures(state, rule, config.density)`, for a
     caller that already has them; computed here when not given.
     """
@@ -957,12 +949,7 @@ class DiskPatch:
             raise ValueError("chart resolution must be an even integer >= 4")
 
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
-        helper = np.array([0.0, 0.0, 1.0])
-        if abs(self.normal @ helper) > 0.9:
-            helper = np.array([1.0, 0.0, 0.0])
-        e1 = unit(np.cross(helper, self.normal))
-        e2 = np.cross(self.normal, e1)
-        return e1, e2
+        return _orthonormal_frame(self.normal)
 
     def to_space(self, uv: np.ndarray) -> np.ndarray:
         e1, e2 = self.frame()
@@ -1004,7 +991,6 @@ class RadonProblem:
     r0: float
     quadrature_level: int = 7
     tolerances: Tolerances = field(default_factory=Tolerances)
-    seed: int = 0
 
 
 def dyadic_atoms(patch: DiskPatch, level: int):
@@ -1111,13 +1097,12 @@ def refine_radon(problem: RadonProblem, levels: int, test_level: int = 2) -> Ref
             r0=problem.r0,
             quadrature_level=problem.quadrature_level,
             tolerances=problem.tolerances,
-            seed=problem.seed,
         )
         solve = solve_discrete(config, rule)
         if not solve.converged:
             status = f"level-{level}-{solve.status}"
         H = sheet_radii(solve.state, rule.nodes)
-        rho, _, _ = assign_envelope(H, solve.state.envelope_sense, solve.state.tie_tol)
+        rho, _, _ = assign_envelope(H, solve.state.regime)
         if prev_rho is not None:
             sup_diffs.append(float(np.max(np.abs(rho - prev_rho))))
         prev_rho = rho

@@ -105,7 +105,6 @@ def solvable_config(kappa, m, seed, level=8, share=0.6, epsilon=0.4,
         tau=tau,
         r0=r0,
         quadrature_level=level,
-        seed=seed,
     )
 
 

@@ -9,7 +9,6 @@ from negrefractor.fresnel import (
     InadmissibleIncidenceError,
     MediumPair,
     TotalInternalReflectionError,
-    admissible_pair,
     p_coefficient,
     phi,
     q_coefficient,
@@ -158,25 +157,35 @@ def test_critical_limit_continuity():
     assert sup[2] < 1e-4
 
 
-def test_admissible_pair_worked_points():
-    x = np.array([0.0, 0.0, 1.0])
-
-    def with_cos(c):
-        return np.array([np.sqrt(1 - c * c), 0.0, c])
-
-    margin = AdmissibilityMargin(0.1)
-    assert admissible_pair(x, x, MediumPair(-2.0), margin)
-    assert not admissible_pair(x, with_cos(-0.45), MediumPair(-2.0), margin)
-    assert admissible_pair(x, with_cos(-0.35), MediumPair(-0.5), margin)
-    assert admissible_pair(x, with_cos(-0.99), MediumPair(-1.0), margin)
-
-
 def test_out_of_window_is_loud():
     med = MediumPair(-2.0, 1.0, 0.5)
     with pytest.raises(InadmissibleIncidenceError):
         reflectance(-0.9, med)
     with pytest.raises(InadmissibleIncidenceError):
         reflectance(0.0, med, AdmissibilityMargin(0.6))  # window floor 0.1
+
+
+@pytest.mark.parametrize("kappa", [-2.0, -1.5, -0.5, -1.0, -1.0 + 5e-15])
+def test_regime_rules(kappa):
+    reg = ovals.regime_of(kappa)
+    critical = abs(kappa + 1.0) <= ovals.CRITICAL_TOL
+    assert (reg is ovals.Regime.CRITICAL) == critical
+    assert reg.max_envelope == (kappa < -1.0)
+    assert reg.lossless == critical
+    floor = -1.0 if critical else (1.0 / kappa if kappa < -1.0 else kappa)
+    assert reg.window_floor(kappa) == floor
+    margin = AdmissibilityMargin(0.1)
+    medium = MediumPair(kappa, 1.3, 0.5)
+    below = floor - 2e-12  # past the 1e-12 slack of the window check
+    if critical:
+        assert margin.window(kappa) == (-1.0, 1.0)
+        assert reflectance(below, medium) == 0.0
+        assert reflectance_bound(medium, margin) == 0.0
+    else:
+        assert margin.window(kappa)[0] == floor + 0.1
+        assert reflectance(floor, medium) == pytest.approx(1.0, abs=1e-12)  # grazing
+        with pytest.raises(InadmissibleIncidenceError):
+            reflectance(below, medium)
 
 
 def test_focusing_oracle_random_all_regimes():

@@ -1,0 +1,61 @@
+"""Package hygiene: no module imports a name it never uses, and every function
+the benchmark's span recorder wraps still exists."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "negrefractor").glob("*.py"))
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads;
+    names listed in `__all__` count as read (they are re-exports)."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_the_import_guard_sees_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from typing import Callable\n"
+        "from . import fresnel as fr, ovals\n"
+        "__all__ = ['ovals']\n"
+        "x: np.ndarray = fr.phi\n"
+    )
+    assert _unused_imports(source) == ["os", "Callable"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_every_traced_function_resolves():
+    spec = importlib.util.spec_from_file_location(
+        "_tracer_under_test", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, functions in tracer.WRAPPED.items():
+        module = importlib.import_module(f"negrefractor.{layer}")
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

@@ -1,10 +1,12 @@
 """Forward ray tracing: focusing, tie handling, and the energy ledger."""
 
+import math
+
 import numpy as np
 import pytest
 
 import negrefractor as nr
-from negrefractor import detmath, fresnel, ovals, raytrace
+from negrefractor import detmath, fresnel, ovals, raytrace, refractor
 from negrefractor.raytrace import energy_audit, trace_field, trace_one
 from negrefractor.refractor import RefractorState, assign_envelope, sheet_radii
 from conftest import duplicate_sheet_state, solvable_config, symmetric_pair_config
@@ -101,7 +103,7 @@ def _reference_trace_field(state, rule, margin=None):
     whole-array computation the node blocks must reproduce bit for bit."""
     X = rule.nodes
     H = sheet_radii(state, X)
-    rho, assigned, tie = assign_envelope(H, state.envelope_sense, state.tie_tol)
+    rho, assigned, tie = assign_envelope(H, state.regime)
     Z = rho[:, None] * X
     kappa = state.medium.kappa
     m_dir = np.full_like(X, np.nan)
@@ -166,3 +168,52 @@ def test_blocked_trace_field_matches_whole_array_reference(monkeypatch, block):
             assert np.array_equal(a, b, equal_nan=True), (name, k)
         if name == "mixed_ties":
             assert got[4].shape[1] == 3 and 0 < got[3].sum() < rule.count
+
+
+def _reference_audit(state, rule, density):
+    """`energy_audit` with the nearest-focus arg-min taken over all non-tie
+    rows at once: the whole-array computation the row blocks must reproduce."""
+    Z, m_dir, assigned, tie, focus_err, r, t = trace_field(state, rule)
+    fvals = density.values_on(rule)
+    w = rule.weights
+    ok = ~tie
+    bins = assigned.copy()
+    best = np.nanargmin(focus_err[ok], axis=1) if np.any(ok) else np.empty(0, int)
+    bins[ok] = best
+    best_err = focus_err[ok, best] if np.any(ok) else np.empty(0)
+    t_full = t.copy()
+    r_full = r.copy()
+    if np.any(tie):
+        c_tie = refractor.refraction_cosines(
+            state, rule.nodes[tie], detmath.norm_rows(Z[tie]), assigned[tie]
+        )
+        r_tie = np.asarray(fresnel.reflectance(c_tie, state.medium), dtype=float)
+        r_full[tie] = r_tie
+        t_full[tie] = 1.0 - r_tie
+    transported = np.bincount(bins, weights=w * fvals * t_full, minlength=state.targets.count)
+    measures = refractor.measures(state, rule, density)
+    scale = max(float(state.targets.norms.min()), 1e-300)
+    return raytrace.AuditReport(
+        per_target=transported,
+        reflected=math.fsum(w * fvals * r_full),
+        incident=math.fsum(w * fvals),
+        skipped_fraction=float(np.sum(tie)) / rule.count,
+        measures=measures,
+        max_discrepancy=float(np.max(np.abs(transported - measures))),
+        max_focus_error=float(best_err.max()) if best_err.size else 0.0,
+        miss_count=int(np.sum(best_err > raytrace.MISS_FRACTION * scale)) if best_err.size else 0,
+    )
+
+
+@pytest.mark.parametrize("block", [100, 7, raytrace._FOCUS_BLOCK])
+def test_blocked_audit_matches_whole_array_reference(monkeypatch, block):
+    # three sheets, 512 nodes of which 216 are ties: neither count is a
+    # multiple of the block, and the last block of rays is a partial one
+    state, rule = duplicate_sheet_state(third_sheet=True)
+    density = nr.EmissionDensity.uniform(1.0)
+    ref = _reference_audit(state, rule, density).to_dict()
+    monkeypatch.setattr(raytrace, "_FOCUS_BLOCK", block)
+    got = energy_audit(state, rule, density).to_dict()
+    assert got == ref
+    assert 0 < ref["skipped_fraction"] < 1 and len(ref["per_target"]) == 3
+    assert rule.count % block and int(rule.count * (1 - ref["skipped_fraction"])) % block

@@ -1,25 +1,21 @@
 """Envelope surface: assignment, ties, measures, and response to parameters."""
 
+import math
+
 import numpy as np
 import pytest
 
 import negrefractor as nr
 from negrefractor import fresnel, ovals
+from negrefractor.raytrace import trace_field, trace_one
 from negrefractor.refractor import (
     EmissionDensity,
     RefractorState,
-    TiePointError,
     assign_envelope,
-    evaluate,
     evaluate_field,
     lipschitz_estimate,
-    measure_of_target,
     measures,
     sheet_radii,
-    surface_normal,
-    total_transmitted,
-    trace_indicator,
-    transmission_at,
 )
 from conftest import DEG, symmetric_pair_config
 
@@ -41,7 +37,8 @@ def test_single_sheet_active_everywhere():
     assert np.all(fe.assigned == 0)
     assert not np.any(fe.tie)
     for x in rule.nodes[::57]:
-        assert trace_indicator(state, 0, x)
+        ray = trace_one(state, x)
+        assert ray.active == 0 and not ray.skipped
 
 
 def test_duplicate_sheets_tie_everywhere():
@@ -50,8 +47,11 @@ def test_duplicate_sheets_tie_everywhere():
         nr.MediumPair(-1.5), nr.TargetSpec(P, np.array([0.1, 0.1])),
         np.array([-1.49, -1.49]),
     )
-    rho, active, tie = evaluate(state, [0.1, 0.0, np.sqrt(0.99)])
-    assert tie and list(active) == [0, 1]
+    x = np.array([0.1, 0.0, np.sqrt(0.99)])
+    H = sheet_radii(state, x[None])
+    rho, assigned, tie = assign_envelope(H, state.regime)
+    assert tie[0] and assigned[0] == 0
+    assert np.all(H[:, 0] >= rho[0] * (1.0 - nr.refractor.TIE_TOL))
 
 
 def test_mirror_pair_tie_on_symmetry_circle():
@@ -59,18 +59,17 @@ def test_mirror_pair_tie_on_symmetry_circle():
     state = RefractorState(cfg.medium, cfg.targets, np.array([cfg.b1, cfg.b1]))
     for t in (0.0, 0.1, 0.3):
         x = np.array([0.0, np.sin(t), np.cos(t)])
-        rho, active, tie = evaluate(state, x)
-        assert tie
+        assert trace_one(state, x).skipped
     # off the circle the assignment is mirror-symmetric; under the max
     # envelope a direction tilted toward one target belongs to the other
     # sheet (strong-regime rays cross the axis)
     xp = np.array([np.sin(0.2), 0.0, np.cos(0.2)])
     xm = np.array([-np.sin(0.2), 0.0, np.cos(0.2)])
-    assert trace_indicator(state, 1, xp) and trace_indicator(state, 0, xm)
+    assert trace_one(state, xp).active == 1 and trace_one(state, xm).active == 0
 
     cfgm = symmetric_pair_config(-0.5)
     statem = RefractorState(cfgm.medium, cfgm.targets, np.array([cfgm.b1, cfgm.b1]))
-    assert trace_indicator(statem, 0, xp) and trace_indicator(statem, 1, xm)
+    assert trace_one(statem, xp).active == 0 and trace_one(statem, xm).active == 1
 
 
 def test_assignment_covers_domain():
@@ -85,9 +84,9 @@ def test_assignment_covers_domain():
 def test_surface_normal_delegates_and_flags_ties():
     state = _single_state()
     x = np.array([0.05, 0.02, np.sqrt(1 - 0.05**2 - 0.02**2)])
-    nu = surface_normal(state, x)
+    nu = trace_one(state, x).nu
     assert np.allclose(nu, ovals.normal_at(state.sheet(0), x), atol=0)
-    axial = surface_normal(state, np.array([0.0, 0.0, 1.0]))
+    axial = trace_one(state, np.array([0.0, 0.0, 1.0])).nu
     assert np.allclose(axial, [0.0, 0.0, 1.0], atol=1e-14)
 
     P = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
@@ -95,38 +94,41 @@ def test_surface_normal_delegates_and_flags_ties():
         nr.MediumPair(-1.5), nr.TargetSpec(P, np.array([0.1, 0.1])),
         np.array([-1.49, -1.49]),
     )
-    with pytest.raises(TiePointError):
-        surface_normal(dup, x)
-    with pytest.raises(TiePointError):
-        transmission_at(dup, x)
+    ray = trace_one(dup, x)
+    assert ray.skipped and ray.nu is None and ray.m is None
+    assert np.isnan(ray.t) and np.isnan(ray.r)
 
 
 def test_transmission_axial_and_critical():
-    assert transmission_at(_single_state(-1.5), np.array([0.0, 0.0, 1.0])) == 1.0
+    assert trace_one(_single_state(-1.5), np.array([0.0, 0.0, 1.0])).t == 1.0
     state = _single_state(-1.0)
     x = np.array([0.2, -0.1, np.sqrt(1 - 0.05)])
-    assert transmission_at(state, x) == 1.0
+    assert trace_one(state, x).t == 1.0
+    cap = nr.make_cap([0.0, 0.0, 1.0], 30 * DEG, 3)
+    assert np.all(evaluate_field(state, nr.build_quadrature(cap, 3)).transmittance == 1.0)
 
 
 def test_transmission_matches_snell_path():
-    # geometric direction-to-target vs vector-Snell refraction
-    state = _single_state(-1.5)
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        v = rng.normal(size=3) * np.array([0.3, 0.3, 0.0]) + np.array([0.0, 0.0, 1.0])
-        x = v / np.linalg.norm(v)
-        t_geo = transmission_at(state, x)
-        nu = surface_normal(state, x)
-        m = fresnel.refract(x, nu, state.medium.kappa)
-        t_snell = float(fresnel.transmittance(float(x @ m), state.medium))
-        assert t_geo == pytest.approx(t_snell, abs=1e-12)
+    # geometric direction-to-target (measures) vs vector-Snell refraction
+    # (ray trace), on every node that is not a tie, in all three regimes
+    for kappa in (-1.5, -0.5, -1.0):
+        cfg = symmetric_pair_config(kappa, level=5)
+        state = RefractorState(cfg.medium, cfg.targets, np.array([cfg.b1, cfg.b1]))
+        rule = cfg.rule()
+        fe = evaluate_field(state, rule)
+        _, _, assigned, tie, _, _, t = trace_field(state, rule)
+        ok = ~tie
+        assert np.count_nonzero(ok) > 0.9 * rule.count
+        assert set(np.unique(assigned[ok])) == {0, 1}
+        assert np.array_equal(fe.assigned, assigned)
+        assert np.allclose(fe.transmittance[ok], t[ok], rtol=0.0, atol=1e-12)
 
 
 def test_measure_critical_equals_cap_area():
     state = _single_state(-1.0)
     cap = nr.make_cap([0.0, 0.0, 1.0], 30 * DEG, 3)
     rule = nr.build_quadrature(cap, 5)
-    G = measure_of_target(state, 0, rule, EmissionDensity.uniform(1.0))
+    G = measures(state, rule, EmissionDensity.uniform(1.0))[0]
     assert G == pytest.approx(nr.cap_measure(rule), rel=1e-14)
 
 
@@ -139,8 +141,8 @@ def test_measure_refinement_oracle():
     )
     cap = nr.make_cap([0.0, 0.0, 1.0], 30 * DEG, 3)
     f = EmissionDensity.uniform(1.0)
-    coarse = measure_of_target(state, 0, nr.build_quadrature(cap, 5), f)
-    fine = measure_of_target(state, 0, nr.build_quadrature(cap, 6), f)
+    coarse = measures(state, nr.build_quadrature(cap, 5), f)[0]
+    fine = measures(state, nr.build_quadrature(cap, 6), f)[0]
     assert abs(coarse - fine) / fine <= 1e-6
 
 
@@ -156,7 +158,7 @@ def test_partition_identity_and_flux_bounds():
     state = RefractorState(cfg.medium, cfg.targets, np.array([cfg.b1, cfg.b1 * 0.999]))
     rule = cfg.rule()
     G = measures(state, rule, cfg.density)
-    total = total_transmitted(state, rule, cfg.density)
+    total = math.fsum(measures(state, rule, cfg.density))
     assert float(np.sum(G)) == total  # same sums reordered
     flux = float(np.sum(rule.weights))
     c_eps = fresnel.reflectance_bound(cfg.medium, cfg.margin)
@@ -220,13 +222,13 @@ def test_uniform_convergence_under_parameter_limits():
     b = np.array([cfg.b1, cfg.b1 - 1e-4])
     state = RefractorState(cfg.medium, cfg.targets, b)
     H = sheet_radii(state, rule.nodes)
-    rho_lim, _, _ = assign_envelope(H, state.envelope_sense, state.tie_tol)
+    rho_lim, _, _ = assign_envelope(H, state.regime)
     delta = np.array([0.0, 1e-4])
     sups = []
     for k in (1, 3, 5, 8):
         st = state.with_b(b + delta * 2.0**-k)
         Hk = sheet_radii(st, rule.nodes)
-        rho_k, _, _ = assign_envelope(Hk, st.envelope_sense, st.tie_tol)
+        rho_k, _, _ = assign_envelope(Hk, st.regime)
         sups.append(float(np.max(np.abs(rho_k - rho_lim))))
     assert sups[0] > sups[-1]
     assert sups[-1] <= 1e-4 * 2.0**-8 / (1.0 - cfg.medium.kappa) * 10
@@ -263,7 +265,7 @@ def test_assignment_stable_under_tiny_perturbation():
         ovals.radii(state.medium.kappa, state.targets.points[j], float(state.b[j]), X)[0]
         for j in range(2)
     ])
-    _, assigned_p, _ = assign_envelope(Hp, state.envelope_sense, state.tie_tol)
+    _, assigned_p, _ = assign_envelope(Hp, state.regime)
     assert np.array_equal(assigned_p[safe], fe.assigned[safe])
 
 
@@ -275,12 +277,10 @@ def test_density_types():
     with pytest.raises(ValueError):
         EmissionDensity.from_table(np.zeros(rule.count))
     tab = EmissionDensity.from_table(np.full(rule.count, 2.0))
-    assert tab.floor_on(rule) == 2.0
+    assert np.array_equal(tab.values_on(rule), np.full(rule.count, 2.0))
     with pytest.raises(ValueError):
         EmissionDensity.from_table(np.ones(5)).values_on(rule)
-    fn = EmissionDensity.from_function(lambda x: 1.0 + 0.5 * x[2])
-    vals = fn.values_on(rule)
-    assert np.all(vals > 0.0) and vals.shape == (rule.count,)
+    assert np.array_equal(EmissionDensity.uniform(3.0).values_on(rule), np.full(rule.count, 3.0))
 
 
 def test_state_validation():
