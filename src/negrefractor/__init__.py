@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .fresnel import AdmissibilityMargin, MediumPair
 from .geometry import QuadratureRule, SourceDomain, build_quadrature, cap_measure, make_cap
-from .ovals import GeometryBounds, OvalParams, Regime, admissible_b, regime_of
+from .ovals import OvalParams, Regime, admissible_b, regime_of
 from .refractor import EmissionDensity, RefractorState, TargetSpec
 from .raytrace import energy_audit, trace_one
 from .solver import (
@@ -29,7 +29,6 @@ __all__ = [
     "AdmissibilityMargin",
     "DiskPatch",
     "EmissionDensity",
-    "GeometryBounds",
     "MediumPair",
     "OvalParams",
     "ProblemConfig",

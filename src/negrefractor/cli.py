@@ -26,7 +26,7 @@ from . import __version__, detmath, fresnel, solver
 from .fresnel import AdmissibilityMargin, MediumPair
 from .geometry import make_cap
 from .raytrace import energy_audit, trace_field
-from .refractor import EmissionDensity, RefractorState, TargetSpec, assign_envelope, sheet_radii
+from .refractor import EmissionDensity, RefractorState, TargetSpec, evaluate_field
 from .solver import ProblemConfig, Tolerances, ValidationFailure
 
 EXIT_OK = 0
@@ -238,10 +238,8 @@ def load_config(path: str):
 # exports
 # ---------------------------------------------------------------------------
 
-def export_surface(state: RefractorState, rule, path: str, fmt: str) -> None:
-    """Write the envelope surface: OBJ triangle mesh (n=3) or CSV polyline (n=2)."""
-    H = sheet_radii(state, rule.nodes)
-    rho, _, _ = assign_envelope(H, state.regime)
+def export_surface(rho: np.ndarray, rule, path: str, fmt: str) -> None:
+    """Write the envelope surface rho(x) x: OBJ triangle mesh (n=3) or CSV polyline (n=2)."""
     if fmt == "csv":
         if rule.domain.dim != 2:
             raise ValueError("csv polyline export is for 2-D surfaces")
@@ -276,15 +274,15 @@ def export_surface(state: RefractorState, rule, path: str, fmt: str) -> None:
 _CSV_BLOCK = 4096
 
 
-def write_trace_csv(field, rule, path: str) -> None:
-    """Write one CSV row per node of `field = trace_field(state, rule, margin)`.
+def write_trace_csv(traced, rule, path: str) -> None:
+    """Write one CSV row per node of `traced = trace_field(state, rule, field)`.
 
     Floats are written as `format(x, ".17g")`; x, z and m are "nan" where
     NaN, and the focus error (to the assigned target), r and t are "nan" on
     tie nodes.  Any other non-finite value raises ValueError, like
     `_fmt_float`, before anything is written.
     """
-    Z, m_dir, assigned, tie, focus_err, r, t = field
+    Z, m_dir, assigned, tie, focus_err, r, t = traced
     dim = rule.domain.dim
     cols = (
         [f"x{i}" for i in range(dim)]
@@ -350,10 +348,11 @@ def cmd_solve(args) -> int:
     t1 = time.perf_counter()
     report = solver.solve_discrete(config, rule)
     t2 = time.perf_counter()
-    ok_weak, certificate = solver.verify_weak(
-        report.state, config, rule, measures=report.measures
+    ok_weak, certificate = solver.verify_weak(config, report.measures)
+    audit = energy_audit(
+        report.state, rule, config.density, report.field,
+        trace_field(report.state, rule, report.field),
     )
-    audit = energy_audit(report.state, rule, config.density, measures=report.measures)
     t3 = time.perf_counter()
     doc = {
         "config": echo,
@@ -373,7 +372,7 @@ def cmd_solve(args) -> int:
     )
     _write_or_print(text, args.out)
     if args.export:
-        export_surface(report.state, rule, args.export, args.export_format)
+        export_surface(report.field.rho, rule, args.export, args.export_format)
     return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
 
 
@@ -381,9 +380,10 @@ def cmd_trace(args) -> int:
     config, echo = load_config(args.config)
     rule = config.rule()
     state = _state_from_report(config, args.state)
-    field = trace_field(state, rule)
-    write_trace_csv(field, rule, args.out_csv)
-    audit = energy_audit(state, rule, config.density, field=field)
+    field = evaluate_field(state, rule)
+    traced = trace_field(state, rule, field)
+    write_trace_csv(traced, rule, args.out_csv)
+    audit = energy_audit(state, rule, config.density, field, traced)
     doc = {"config": echo, "audit": audit.to_dict()}
     _write_or_print(finalize_report(doc, {}), args.out)
     return EXIT_OK
@@ -415,7 +415,7 @@ def cmd_export(args) -> int:
     config, _ = load_config(args.config)
     rule = config.rule()
     state = _state_from_report(config, args.state)
-    export_surface(state, rule, args.out, args.format)
+    export_surface(evaluate_field(state, rule).rho, rule, args.out, args.format)
     return EXIT_OK
 
 

@@ -156,9 +156,9 @@ def reflectance(c, medium: MediumPair, margin: AdmissibilityMargin | None = None
     return float(out) if np.ndim(out) == 0 else out
 
 
-def transmittance(c, medium: MediumPair, margin: AdmissibilityMargin | None = None):
+def transmittance(c, medium: MediumPair):
     """Transmitted energy fraction t = 1 - r (energy conservation)."""
-    r = reflectance(c, medium, margin)
+    r = reflectance(c, medium)
     return 1.0 - r
 
 

@@ -84,10 +84,10 @@ class Interval:
     hi: float
     closed: bool = False
 
-    def contains(self, value: float, *, slack: float = 0.0) -> bool:
+    def contains(self, value: float) -> bool:
         if self.closed:
-            return self.lo - slack <= value <= self.hi + slack
-        return self.lo + slack < value < self.hi - slack
+            return self.lo <= value <= self.hi
+        return self.lo < value < self.hi
 
 
 def admissible_b(focus, kappa: float) -> Interval:
@@ -127,17 +127,6 @@ class OvalParams:
     @property
     def focus_norm(self) -> float:
         return detmath.norm(self.focus)
-
-
-@dataclass(frozen=True)
-class GeometryBounds:
-    """Closed-form extremes of the polar radius and of |P - h x|."""
-
-    h_min: float
-    h_max: float
-    dist_min: float
-    dist_max: float
-    support_cut: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -255,52 +244,13 @@ def normal_at(oval: OvalParams, x) -> np.ndarray:
     return n / np.linalg.norm(n)
 
 
-def bounds(oval: OvalParams) -> GeometryBounds:
-    """Global extremes of h and of the focus distance |P - h x|.
-
-    Critical sheets are half-open (h is unbounded near the support rim), so
-    no bounds are reported for them.
-    """
-    k, b, p = oval.kappa, oval.b, oval.focus_norm
-    if oval.regime is Regime.STRONG:
-        # dist is linear in h along the sheet (h + k dist = b), so its max
-        # sits at the support rim where h peaks; (b - p)/k only bounds it
-        # when b <= -|P|
-        h_max = float(np.sqrt((k * k * p * p - b * b) / (k * k - 1.0)))
-        return GeometryBounds(
-            h_min=(k * p - b) / (k - 1.0),
-            h_max=h_max,
-            dist_min=(b - p) / (k - 1.0),
-            dist_max=(h_max - b) / (-k),
-            support_cut=support_cut(oval),
-        )
-    if oval.regime is Regime.MILD:
-        return GeometryBounds(
-            h_min=(b - k * p) / (1.0 - k),
-            h_max=(b - k * p) / (1.0 + k),
-            dist_min=(p - b) / (1.0 - k),
-            dist_max=float(np.sqrt((p * p - b * b) / (1.0 - k * k))),
-            support_cut=None,
-        )
-    raise ValueError("critical sheets are unbounded; no closed-form extremes")
-
-
-def defect(oval: OvalParams, x) -> float:
-    """Signed residual of the implicit surface equation at z = h(x) x.
+def defect_many(kappa: float, focus: np.ndarray, b: float, X: np.ndarray) -> np.ndarray:
+    """Signed residual of the implicit surface equation at z = h(x) x over a
+    batch of supported directions.
 
     Strong/mild: |z| + kappa |z - P| - b.  Critical: |z| - |z - P| - b.
     Positive when the point sits outside the sheet in the +b direction.
     """
-    x = np.asarray(x, dtype=float)
-    h = polar_radius(oval, x)
-    dist = float(np.linalg.norm(oval.focus - h * x))
-    if oval.regime is Regime.CRITICAL:
-        return h - dist - oval.b
-    return h + oval.kappa * dist - oval.b
-
-
-def defect_many(kappa: float, focus: np.ndarray, b: float, X: np.ndarray) -> np.ndarray:
-    """Vectorized defect over a batch of supported directions."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     h, ok = radii(kappa, focus, b, X)
     if not np.all(ok):

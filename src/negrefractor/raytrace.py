@@ -1,11 +1,12 @@
 """Forward-optics audit of a synthesized refractor.
 
-Independent of the measure pipeline: each source direction is intersected
-with the envelope, refracted with the vector Snell law at the local surface
-normal, and scored by the distance from the refracted half-line to its
-target.  Perfect sheets focus exactly, so nonzero focus errors expose bugs;
-binning ray energy by nearest focus must reproduce the quadrature measures
-bin for bin, because the two paths share only the sheet formulas.
+The audit shares the envelope arrays (rho, assignment, ties) of the measure
+pipeline's `FieldEvaluation`; the rest is independent: each direction is
+refracted with the vector Snell law at the local surface normal and scored by
+the distance from the refracted half-line to each target.  Perfect sheets
+focus exactly, so nonzero focus errors expose bugs; binning ray energy by
+nearest focus must reproduce, bin for bin, the measures, which take each
+node's transmittance from the geometric cosine toward its assigned target.
 
 Reflected energy is accounted for (f * r per node) but reflected rays are not
 propagated further.
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detmath, fresnel, ovals, refractor
-from .fresnel import AdmissibilityMargin
 from .geometry import QuadratureRule
-from .refractor import EmissionDensity, RefractorState, assign_envelope, sheet_radii
+from .refractor import EmissionDensity, FieldEvaluation, RefractorState, assign_envelope, sheet_radii
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,7 @@ def _focus_error(z: np.ndarray, m: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm(rel - s * m))
 
 
-def trace_one(
-    state: RefractorState,
-    x,
-    margin: AdmissibilityMargin | None = None,
-) -> TraceResult:
+def trace_one(state: RefractorState, x) -> TraceResult:
     """Trace a single source direction through the envelope."""
     x = np.asarray(x, dtype=float)
     rho, assigned, tie = assign_envelope(sheet_radii(state, x[None]), state.regime)
@@ -83,7 +79,7 @@ def trace_one(
     nu = ovals.normal_at(state.sheet(j), x)
     m = fresnel.refract(x, nu, state.medium.kappa)
     c = float(x @ m)
-    r = float(fresnel.reflectance(c, state.medium, margin))
+    r = float(fresnel.reflectance(c, state.medium))
     t = 1.0 - r
     err = _focus_error(z, m, state.targets.points[j])
     return TraceResult(x, z, nu, m, j, err, r, t, False)
@@ -112,20 +108,16 @@ def _focus_errors(points: np.ndarray, Z: np.ndarray, m_ok: np.ndarray,
     return np.sqrt(sq, out=sq)
 
 
-def trace_field(
-    state: RefractorState,
-    rule: QuadratureRule,
-    margin: AdmissibilityMargin | None = None,
-):
-    """Vectorized trace of every quadrature node.
+def trace_field(state: RefractorState, rule: QuadratureRule, field: FieldEvaluation):
+    """Vectorized trace of every quadrature node, where `field` is
+    `refractor.evaluate_field(state, rule)`.
 
     Returns (z, m, assigned, tie, focus_err (N, m_targets), r, t) where m is
     the Snell-refracted direction of the assigned sheet (NaN on ties).
     """
     X = rule.nodes
-    H = sheet_radii(state, X)
-    rho, assigned, tie = assign_envelope(H, state.regime)
-    Z = rho[:, None] * X
+    assigned, tie = field.assigned, field.tie
+    Z = field.rho[:, None] * X
     kappa = state.medium.kappa
     m_dir = np.full_like(X, np.nan)
     ok = ~tie
@@ -151,7 +143,7 @@ def trace_field(
 
     c = detmath.dot_rows(X, m_ok)
     r = np.zeros(rule.count)
-    r[ok] = np.asarray(fresnel.reflectance(c[ok], state.medium, margin))
+    r[ok] = np.asarray(fresnel.reflectance(c[ok], state.medium))
     t = 1.0 - r
     return Z, m_dir, assigned, tie, focus_err, r, t
 
@@ -165,24 +157,18 @@ def energy_audit(
     state: RefractorState,
     rule: QuadratureRule,
     density: EmissionDensity,
-    margin: AdmissibilityMargin | None = None,
-    *,
-    field: tuple | None = None,
-    measures: np.ndarray | None = None,
+    field: FieldEvaluation,
+    traced: tuple,
 ) -> AuditReport:
     """Bin ray energy by nearest focus and reconcile with the measures.
 
+    `field` is `refractor.evaluate_field(state, rule)`, whose per-target sum
+    gives the measures, and `traced` is `trace_field(state, rule, field)`.
     Tie nodes cannot be traced (no unique normal); their energy is assigned
     by the same lowest-index rule the measures use, so the two ledgers stay
     comparable.  Non-tie rays are binned by minimal focus error.
-
-    `field` is `trace_field(state, rule, margin)` and `measures` is
-    `refractor.measures(state, rule, density, margin)`, for a caller that
-    already has them; each is computed here when not given.
     """
-    if field is None:
-        field = trace_field(state, rule, margin)
-    Z, m_dir, assigned, tie, focus_err, r, t = field
+    Z, m_dir, assigned, tie, focus_err, r, t = traced
     fvals = density.values_on(rule)
     w = rule.weights
     ok = ~tie
@@ -205,7 +191,7 @@ def energy_audit(
         c_tie = refractor.refraction_cosines(
             state, rule.nodes[tie], detmath.norm_rows(Z[tie]), assigned[tie]
         )
-        r_tie = np.asarray(fresnel.reflectance(c_tie, state.medium, margin), dtype=float)
+        r_tie = np.asarray(fresnel.reflectance(c_tie, state.medium), dtype=float)
         r_full[tie] = r_tie
         t_full[tie] = 1.0 - r_tie
 
@@ -214,8 +200,7 @@ def energy_audit(
     )
     reflected = math.fsum(w * fvals * r_full)
     incident = math.fsum(w * fvals)
-    if measures is None:
-        measures = refractor.measures(state, rule, density, margin)
+    measures = field.measures(w * fvals, state.targets.count)
     scale = max(float(state.targets.norms.min()), 1e-300)
     return AuditReport(
         per_target=transported,

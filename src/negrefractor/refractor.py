@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detmath, fresnel, ovals
-from .fresnel import AdmissibilityMargin, MediumPair
+from .fresnel import MediumPair
 from .geometry import QuadratureRule, neighbor_pairs
 from .ovals import Regime
 
@@ -196,43 +196,43 @@ def refraction_cosines(state: RefractorState, X, rho, assigned) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldEvaluation:
-    """Cached per-node envelope data for one state on one rule."""
+    """The evaluated envelope of one state on one rule: per-node radius,
+    assigned sheet, tie flag and Fresnel transmittance."""
 
     rho: np.ndarray
     assigned: np.ndarray
     tie: np.ndarray
-    cosines: np.ndarray
     transmittance: np.ndarray
 
+    def measures(self, wf: np.ndarray, count: int) -> np.ndarray:
+        """Energy per target, G_j = sum_i wf_i t_i [assigned_i = j], for wf = w f."""
+        return np.bincount(self.assigned, weights=wf * self.transmittance, minlength=count)
 
-def evaluate_field(
-    state: RefractorState,
-    rule: QuadratureRule,
-    margin: AdmissibilityMargin | None = None,
-) -> FieldEvaluation:
-    H = sheet_radii(state, rule.nodes)
-    rho, assigned, tie = assign_envelope(H, state.regime)
+
+def field_of(state: RefractorState, rule: QuadratureRule, envelope) -> FieldEvaluation:
+    """The field of `envelope = assign_envelope(H, state.regime)` for the
+    radii H of the state's sheets on the rule's nodes."""
+    rho, assigned, tie = envelope
     c = refraction_cosines(state, rule.nodes, rho, assigned)
-    t = fresnel.transmittance(c, state.medium, margin)
-    return FieldEvaluation(rho=rho, assigned=assigned, tie=tie, cosines=c, transmittance=t)
+    t = fresnel.transmittance(c, state.medium)
+    return FieldEvaluation(rho=rho, assigned=assigned, tie=tie, transmittance=t)
 
 
-def measures(
-    state: RefractorState,
-    rule: QuadratureRule,
-    density: EmissionDensity,
-    margin: AdmissibilityMargin | None = None,
-) -> np.ndarray:
+def evaluate_field(state: RefractorState, rule: QuadratureRule) -> FieldEvaluation:
+    """The field of the state on the rule's nodes; raises if a sheet is not evaluable there."""
+    H = sheet_radii(state, rule.nodes)
+    return field_of(state, rule, assign_envelope(H, state.regime))
+
+
+def measures(state: RefractorState, rule: QuadratureRule, density: EmissionDensity) -> np.ndarray:
     """Energy per target: G_j = sum_i w_i f_i t_i [assigned_i = j]."""
-    fe = evaluate_field(state, rule, margin)
-    contrib = rule.weights * density.values_on(rule) * fe.transmittance
-    return np.bincount(fe.assigned, weights=contrib, minlength=state.targets.count)
+    wf = rule.weights * density.values_on(rule)
+    return evaluate_field(state, rule).measures(wf, state.targets.count)
 
 
 def lipschitz_estimate(state: RefractorState, rule: QuadratureRule) -> float:
     """Max finite-difference slope |rho(x)-rho(y)|/|x-y| over adjacent nodes."""
-    H = sheet_radii(state, rule.nodes)
-    rho, _, _ = assign_envelope(H, state.regime)
+    rho = evaluate_field(state, rule).rho
     ia, ib = neighbor_pairs(rule)
     dr = np.abs(rho[ia] - rho[ib])
     dx = np.linalg.norm(rule.nodes[ia] - rule.nodes[ib], axis=1)

@@ -28,6 +28,7 @@ from .refractor import (
     TIE_TOL,
     ConfigurationError,
     EmissionDensity,
+    FieldEvaluation,
     RefractorState,
     TargetSpec,
     assign_envelope,
@@ -208,21 +209,30 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
         add(n_sep, True, "single target")
 
     # angular admissibility of every target from every aperture direction
-    threshold = config.margin.window(k)[0]
+    try:
+        threshold = config.margin.window(k)[0]
+    except ValueError as exc:  # the margin empties the window
+        threshold = None
+        add(n_ang, False, str(exc))
     if reg.lossless:
         add(n_ang, True, "every direction pair refracts at kappa = -1")
-    else:
+    elif threshold is not None:
         add(
             n_ang,
             cos_min >= threshold,
             f"min x.P/|P| = {cos_min} >= {threshold}",
         )
-    c_eps = fresnel.reflectance_bound(med, config.margin)
 
-    # energy surplus against the uniform reflectance bound
+    # energy surplus against the uniform reflectance bound; an empty window
+    # has none below the trivial C_eps = 1
     flux = math.fsum(rule.weights * f_vals)
-    needed = tgt.total / (1.0 - c_eps)
-    add(n_sur, flux >= needed, f"emitted flux {flux} >= {needed} = mu/(1 - C_eps)")
+    if threshold is None:
+        c_eps = 1.0
+        add(n_sur, False, "no reflectance bound below 1 over an empty window")
+    else:
+        c_eps = fresnel.reflectance_bound(med, config.margin)
+        needed = tgt.total / (1.0 - c_eps)
+        add(n_sur, flux >= needed, f"emitted flux {flux} >= {needed} = mu/(1 - C_eps)")
 
     # anchor parameter
     adm = ovals.admissible_b(tgt.points[0], k)
@@ -291,7 +301,7 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
 
     # worst-case refraction-cosine erosion: the surface sits within r0 of the
     # origin, so x.m can undercut x.P/|P| by an r0-sized amount
-    if not reg.lossless:
+    if not reg.lossless and threshold is not None:
         num = cosines * tgt.norms[:, None] - config.r0
         den = np.where(num >= 0.0, tgt.norms[:, None] + config.r0, tgt.norms[:, None] - config.r0)
         eroded = float((num / den).min())
@@ -478,6 +488,7 @@ class SolveReport:
     sweeps: list
     state: RefractorState
     validation: ValidationReport
+    field: FieldEvaluation  # the final state's field on the final rule
 
     @property
     def converged(self) -> bool:
@@ -736,14 +747,19 @@ def _sweep_stage(
     wf = rule.weights * dens
 
     state = RefractorState(med, tgt, b.copy())
+    # checks every sheet's support on this rule; each later row of H is the
+    # radii of a probed b_j whose support `_terms` has checked, and equals
+    # the matching row of sheet_radii bit for bit (same dots, same kernel)
     H = sheet_radii(state, rule.nodes)
     ws = _CoordinateWorkspace(config, rule, H, wf)
 
     status = "max_outer_exceeded"
-    G = refractor.measures(state, rule, config.density)
+    field = refractor.field_of(state, rule, assign_envelope(H, state.regime))
+    G = field.measures(wf, m)
     b_prev = None
     for sweep in range(max_outer):
-        C1_est = float(assign_envelope(H, state.regime)[0].min())
+        C1_est = float(field.rho.min())
+        del field  # hold no field while the sweep runs
         counts = []
         exhausted_any = False
         for j in range(1, m):
@@ -767,9 +783,10 @@ def _sweep_stage(
             H[j] = ws.radii_row(bj)
             counts.append(evals + 1)
             exhausted_any = exhausted_any or exhausted
-        ws.end_sweep()  # frees its (m, N) envelopes before `measures` runs
+        ws.end_sweep()  # frees its (m, N) envelopes before the field is built
         state = state.with_b(b.copy())
-        G = refractor.measures(state, rule, config.density)
+        field = refractor.field_of(state, rule, assign_envelope(H, state.regime))
+        G = field.measures(wf, m)
         resid = float(np.max(np.abs(G[1:] - tgt.weights[1:])))
         sweeps.append(
             {
@@ -795,7 +812,7 @@ def _sweep_stage(
     else:
         if sweeps and sweeps[-1]["exhausted"]:
             status = "bracket_exhausted"
-    return state, G, H, status
+    return state, field, G, status
 
 
 def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) -> SolveReport:
@@ -821,11 +838,12 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
 
     state = init_state(config, rule)
     b = state.b.copy()
-    H = sheet_radii(state, rule.nodes)
-    G = refractor.measures(state, rule, config.density)
     sweeps: list[dict] = []
     status = "converged"
-    if m > 1:
+    if m == 1:
+        field = refractor.evaluate_field(state, rule)
+        G = field.measures(rule.weights * config.density.values_on(rule), m)
+    else:
         ladder = [
             build_quadrature(config.domain, lvl)
             for lvl in range(max(1, rule.level - 3), rule.level)
@@ -835,7 +853,7 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
             f_stage = config.density.values_on(stage_rule)
             granularity = float(np.max(stage_rule.weights * f_stage))
             stage_tol = tol_abs if final else max(tol_abs, 2.0 * granularity)
-            state, G, H, status = _sweep_stage(
+            state, field, G, status = _sweep_stage(
                 config, stage_rule, b, stage_tol, tol.max_outer, sweeps
             )
         if status == "converged":
@@ -843,7 +861,7 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
             if resid > tol_abs:
                 status = "max_outer_exceeded"
 
-    rho, _, _ = assign_envelope(H, state.regime)
+    rho = field.rho
     anchor_surplus = float(G[0] - tgt.weights[0])
     if status == "converged":
         if anchor_surplus < -tol_abs:
@@ -866,29 +884,21 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
         sweeps=sweeps,
         state=state,
         validation=report,
+        field=field,
     )
 
 
-def verify_weak(
-    state: RefractorState,
-    config: ProblemConfig,
-    rule: QuadratureRule | None = None,
-    *,
-    measures: np.ndarray | None = None,
-) -> tuple[bool, list[dict]]:
-    """Certificate that the state realizes the target measure weakly.
+def verify_weak(config: ProblemConfig, G: np.ndarray) -> tuple[bool, list[dict]]:
+    """Certificate that the per-target measures G of a state realize the
+    target measure weakly.
 
     For an atomic target measure it suffices to check the singletons and
     additivity: every G_j >= g_j - tol, equality within tol away from the
     anchor, and the per-target sums reassemble the total transmitted energy.
     The total transmitted energy is the exactly rounded sum of the same
     measures, so it is taken from them rather than recomputed.
-    `measures` is `refractor.measures(state, rule, config.density)`, for a
-    caller that already has them; computed here when not given.
     """
-    rule = rule or config.rule()
     tol_abs = config.tolerances.measure_tol * config.targets.total
-    G = refractor.measures(state, rule, config.density) if measures is None else measures
     total = sum_G = math.fsum(G)
     cert: list[dict] = []
 
@@ -1056,15 +1066,20 @@ class RefinementReport:
         }
 
 
-def refine_radon(problem: RadonProblem, levels: int, test_level: int = 2) -> RefinementReport:
+# Dyadic level whose cells are refine_radon's fixed test cells.
+_TEST_LEVEL = 2
+
+
+def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
     """Solve the dyadic approximations level by level.
 
     Per level: re-atomize (diameters halve), solve, and record the sup-node
     difference of consecutive radial functions plus the energy received by
-    the fixed test cells (the cells of `test_level`).  Away from the anchor's
-    cell these measures are expected not to increase under refinement beyond
-    tolerance; the anchor cell legitimately accumulates the surplus (the
-    weak solution only pins the measure on sets avoiding the anchor).
+    the fixed test cells (the cells of dyadic level `_TEST_LEVEL`).  Away
+    from the anchor's cell these measures are expected not to increase under
+    refinement beyond tolerance; the anchor cell legitimately accumulates the
+    surplus (the weak solution only pins the measure on sets avoiding the
+    anchor).
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -1076,7 +1091,7 @@ def refine_radon(problem: RadonProblem, levels: int, test_level: int = 2) -> Ref
     prev_rho = None
     mass_err = 0.0
     status = "converged"
-    test_side = 2 ** (test_level - 1)
+    test_side = 2 ** (_TEST_LEVEL - 1)
     test_step = 2.0 * problem.patch.radius / test_side
     auv = np.array(problem.patch.anchor_uv, dtype=float) * problem.patch.radius
     a_tu = min(int((auv[0] + problem.patch.radius) / test_step), test_side - 1)
@@ -1101,8 +1116,7 @@ def refine_radon(problem: RadonProblem, levels: int, test_level: int = 2) -> Ref
         solve = solve_discrete(config, rule)
         if not solve.converged:
             status = f"level-{level}-{solve.status}"
-        H = sheet_radii(solve.state, rule.nodes)
-        rho, _, _ = assign_envelope(H, solve.state.regime)
+        rho = solve.field.rho
         if prev_rho is not None:
             sup_diffs.append(float(np.max(np.abs(rho - prev_rho))))
         prev_rho = rho

@@ -1,10 +1,13 @@
-"""Shared fixtures: admissible-parameter samplers and solvable configurations."""
+"""Shared fixtures: admissible-parameter samplers, solvable configurations,
+closed-form sheet extremes and the field-trace-audit chain."""
 
 import numpy as np
 import pytest
 
 import negrefractor as nr
 from negrefractor.ovals import Regime
+from negrefractor.raytrace import energy_audit, trace_field
+from negrefractor.refractor import evaluate_field
 
 DEG = np.pi / 180.0
 CAP30 = 2.0 * np.pi * (1.0 - np.cos(30 * DEG))
@@ -156,3 +159,25 @@ def duplicate_sheet_state(third_sheet=False):
     )
     rule = nr.build_quadrature(nr.make_cap([0.0, 0.0, 1.0], 30 * DEG, 3), 4)
     return state, rule
+
+
+def sheet_extremes(kappa, p, b):
+    """Closed-form (h_min, h_max, dist_min, dist_max) of the polar radius h
+    and the focus distance |P - h x| of a strong or mild sheet with |P| = p.
+
+    Strong: h_max sits at the support rim, and dist is linear in h along
+    the sheet (h + kappa dist = b), so dist_max = (h_max - b) / (-kappa).
+    """
+    if kappa < -1.0:
+        h_max = float(np.sqrt((kappa * kappa * p * p - b * b) / (kappa * kappa - 1.0)))
+        return ((kappa * p - b) / (kappa - 1.0), h_max,
+                (b - p) / (kappa - 1.0), (h_max - b) / (-kappa))
+    return ((b - kappa * p) / (1.0 - kappa), (b - kappa * p) / (1.0 + kappa),
+            (p - b) / (1.0 - kappa), float(np.sqrt((p * p - b * b) / (1.0 - kappa * kappa))))
+
+
+def audit_state(state, rule, density):
+    """Evaluate a state's field, trace it and audit it: (field, traced, audit)."""
+    field = evaluate_field(state, rule)
+    traced = trace_field(state, rule, field)
+    return field, traced, energy_audit(state, rule, density, field, traced)

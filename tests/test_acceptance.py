@@ -11,10 +11,10 @@ import pytest
 
 import negrefractor as nr
 from negrefractor import cli, fresnel, ovals, refractor, solver
-from negrefractor.raytrace import energy_audit
 from negrefractor.solver import DiskPatch, RadonProblem, refine_radon
 from conftest import (
     DEG,
+    audit_state,
     sample_directions_in_support,
     sample_ovals,
     solvable_config,
@@ -303,7 +303,7 @@ def test_criterion_7_ledger_and_audit(solved_cases):
     worst_bin = 0.0
     for (kappa, m), (cfg, sol, _) in solved_cases.items():
         rule = cfg.rule()
-        audit = energy_audit(sol.state, rule, cfg.density)
+        _, _, audit = audit_state(sol.state, rule, cfg.density)
         ledger = abs(audit.per_target.sum() + audit.reflected - audit.incident)
         worst_ledger = max(worst_ledger, ledger / audit.incident)
         rel = np.abs(audit.per_target - audit.measures) / np.maximum(audit.measures, 1e-300)
@@ -387,8 +387,8 @@ def test_criterion_10_determinism(solved_cases, refined_case):
     ok = True
     for (kappa, m), (cfg, sol, _) in solved_cases.items():
         again = nr.solve_discrete(cfg)
-        audit_a = energy_audit(sol.state, cfg.rule(), cfg.density)
-        audit_b = energy_audit(again.state, cfg.rule(), cfg.density)
+        audit_a = audit_state(sol.state, cfg.rule(), cfg.density)[2]
+        audit_b = audit_state(again.state, cfg.rule(), cfg.density)[2]
         ok &= cli.report_bytes(sol.to_dict()) == cli.report_bytes(again.to_dict())
         ok &= cli.report_bytes(audit_a.to_dict()) == cli.report_bytes(audit_b.to_dict())
     prob, rep = refined_case

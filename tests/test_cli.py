@@ -13,7 +13,7 @@ import pytest
 
 import negrefractor
 from conftest import duplicate_sheet_state, solvable_config, symmetric_pair_config
-from negrefractor import cli, raytrace, solver
+from negrefractor import cli, raytrace, refractor, solver
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,6 +76,19 @@ def test_validate_ok(tmp_path):
 def test_validation_failure_exit_code(tmp_path):
     doc = _config_dict(r0=0.5)  # far outside the admissible window
     assert cli.main(["validate", _write(tmp_path, doc)]) == cli.EXIT_VALIDATION
+
+
+def test_margin_that_empties_the_window_fails_validation(tmp_path, capsys):
+    # kappa = -1.5: the window floor 1/kappa plus 1.7 lies above 1
+    cfgp = _write(tmp_path, _config_dict(epsilon=1.7))
+    out = tmp_path / "val.json"
+    assert cli.main(["validate", cfgp, "--out", str(out)]) == cli.EXIT_VALIDATION
+    rep = json.loads(out.read_text())["report"]["validation"]
+    assert rep["passed"] is False and rep["c_eps"] == 1.0
+    failed = [r["detail"] for r in rep["records"] if r["status"] == "fail"]
+    assert any("empties the admissible window" in d for d in failed)
+    assert cli.main(["solve", cfgp, "--out", str(tmp_path / "r.json")]) == cli.EXIT_VALIDATION
+    assert "validation failed" in capsys.readouterr().err
 
 
 def test_critical_with_mismatched_impedance_warns_but_runs(tmp_path):
@@ -328,7 +341,7 @@ def _csv_case(name, tmp_path):
 @pytest.mark.parametrize("name", ["solve_3d", "mixed_ties", "all_ties", "solve_2d"])
 def test_trace_csv_matches_per_row_reference(tmp_path, monkeypatch, name):
     state, rule = _csv_case(name, tmp_path)
-    field = raytrace.trace_field(state, rule)
+    field = raytrace.trace_field(state, rule, refractor.evaluate_field(state, rule))
     ref = tmp_path / "ref.csv"
     _reference_trace_csv(field, rule, ref)
     text = ref.read_bytes()
@@ -352,7 +365,7 @@ def _injected(field, k, i, value):
 
 def test_trace_csv_refuses_non_finite_values(tmp_path):
     state, rule = _csv_case("mixed_ties", tmp_path)
-    field = raytrace.trace_field(state, rule)
+    field = raytrace.trace_field(state, rule, refractor.evaluate_field(state, rule))
     tie = field[3]
     i = int(np.argmin(tie))  # a traced node
     assert tie.any() and not tie[i]
@@ -411,10 +424,51 @@ def test_trace_traces_the_field_once(tmp_path, monkeypatch, solved_report):
 def test_trace_with_non_finite_values_is_a_validation_error(tmp_path, monkeypatch, solved_report):
     trace_field = raytrace.trace_field
 
-    def poisoned(state, rule, margin=None):
-        field = trace_field(state, rule, margin)
-        i = int(np.argmin(field[3]))
-        return _injected(field, 5, i, np.nan)
+    def poisoned(state, rule, field):
+        traced = trace_field(state, rule, field)
+        i = int(np.argmin(traced[3]))
+        return _injected(traced, 5, i, np.nan)
 
     monkeypatch.setattr(cli, "trace_field", poisoned)
     assert cli.main(_trace_argv(solved_report, tmp_path)) == cli.EXIT_VALIDATION
+
+
+def _count_sheet_radii(monkeypatch):
+    """Count every call of `refractor.sheet_radii`, through each module that
+    binds it; returns the list that grows by one per call."""
+    calls = []
+    original = refractor.sheet_radii
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (refractor, raytrace, solver, cli):
+        if getattr(module, "sheet_radii", None) is original:
+            monkeypatch.setattr(module, "sheet_radii", counted)
+    return calls
+
+
+def test_trace_evaluates_the_sheets_once(tmp_path, monkeypatch, solved_report):
+    calls = _count_sheet_radii(monkeypatch)
+    assert cli.main(_trace_argv(solved_report, tmp_path)) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
+def test_solve_evaluates_no_sheets_after_the_solver(tmp_path, monkeypatch):
+    calls = _count_sheet_radii(monkeypatch)
+    at_return = []
+    solve = solver.solve_discrete
+
+    def solve_discrete(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        at_return.append(len(calls))
+        return report
+
+    monkeypatch.setattr(solver, "solve_discrete", solve_discrete)
+    cfgp = _write(tmp_path, _config_dict(quadrature_level=5))
+    mesh = tmp_path / "surface.obj"
+    code = cli.main(["solve", cfgp, "--out", str(tmp_path / "r.json"), "--export", str(mesh)])
+    assert code in (cli.EXIT_OK, cli.EXIT_NONCONVERGENCE)
+    assert at_return and at_return[0] > 0
+    assert len(calls) == at_return[0]

@@ -11,15 +11,13 @@ from negrefractor.ovals import (
     Regime,
     SupportConditionError,
     admissible_b,
-    bounds,
-    defect,
     defect_many,
     normal_at,
     polar_radius,
     regime_of,
     support_cut,
 )
-from conftest import sample_directions_in_support, sample_ovals
+from conftest import sample_directions_in_support, sample_ovals, sheet_extremes
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -63,7 +61,7 @@ def test_axial_radius_worked_points(kappa, b, expected):
     oval = OvalParams(E1, b, kappa)
     h = polar_radius(oval, E1)
     assert h == pytest.approx(expected, abs=1e-14)
-    assert abs(defect(oval, E1)) <= 1e-12
+    assert abs(defect_many(kappa, E1, b, E1)[0]) <= 1e-12
 
 
 def test_support_cut_worked_point():
@@ -109,24 +107,6 @@ def test_normal_continuity_under_perturbation():
             db = 1e-8 * rng.normal()
             moved = normal_at(OvalParams(E1 + dP, b + db, kappa), x)
             assert np.linalg.norm(moved - base) < 1e-6
-
-
-def test_bounds_worked_points():
-    strong = bounds(OvalParams(E1, -1.0, -2.0))
-    assert strong.h_min == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert strong.h_max == pytest.approx(1.0, abs=1e-15)
-    assert strong.dist_min == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert strong.dist_max == pytest.approx(1.0, abs=1e-15)
-    assert strong.support_cut == pytest.approx(0.5, abs=1e-15)
-
-    mild = bounds(OvalParams(E1, 0.0, -0.5))
-    assert mild.h_min == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert mild.h_max == pytest.approx(1.0, abs=1e-15)
-    assert mild.dist_min == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert mild.dist_max == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-15)
-
-    with pytest.raises(ValueError):
-        bounds(OvalParams(E1, 0.0, -1.0))
 
 
 def test_outside_support_raises():
@@ -201,23 +181,21 @@ def _bound_suite(regime, kappa_range, seed):
     for i in range(200):
         kappa, Pi, bi = kappas[i], P[i], b[i]
         p = np.linalg.norm(Pi)
-        oval = OvalParams(Pi, bi, kappa)
-        bd = bounds(oval)
+        h_min, h_max, dist_min, dist_max = sheet_extremes(kappa, p, bi)
         X = sample_directions_in_support(kappa, Pi, bi, 50, rng, cos_margin=0.0)
         h, ok = ovals.radii(kappa, Pi, bi, X)
         assert np.all(ok)
-        assert np.all(h >= bd.h_min - 1e-12)
-        assert np.all(h <= bd.h_max + 1e-12)
+        assert np.all(h >= h_min - 1e-12)
+        assert np.all(h <= h_max + 1e-12)
         dist = np.linalg.norm(Pi[None, :] - h[:, None] * X, axis=1)
-        assert np.all(dist >= bd.dist_min - 1e-12)
-        assert np.all(dist <= bd.dist_max + 1e-12)
+        assert np.all(dist >= dist_min - 1e-12)
+        assert np.all(dist <= dist_max + 1e-12)
         if regime is Regime.STRONG:
-            # focus-distance window; the upper constant only bounds sheets
-            # with b <= -|P| (the near-field ones)
-            assert bd.dist_min >= (bi - p) / (kappa - 1.0) - 1e-12
+            # the focus-distance upper constant only bounds sheets with
+            # b <= -|P| (the near-field ones)
             if bi <= -p:
-                assert bd.dist_max <= (bi - p) / kappa + 1e-12
-            val = bd.support_cut - 1.0 / kappa
+                assert dist_max <= (bi - p) / kappa + 1e-12
+            val = support_cut(OvalParams(Pi, bi, kappa)) - 1.0 / kappa
             lower = np.sqrt(bi - kappa * p) / (-kappa * p * np.sqrt(1.0 - kappa))
             upper = (1 + np.sqrt(2)) * np.sqrt(bi - kappa * p) * np.sqrt(1 - kappa) / (-kappa * np.sqrt(p))
             assert lower - 1e-12 <= val <= upper + 1e-12
@@ -238,7 +216,7 @@ def test_rim_tangent_direction_evaluates():
     cut = support_cut(oval)
     x = np.array([cut, np.sqrt(1 - cut * cut), 0.0])
     h = polar_radius(oval, x)
-    assert h == pytest.approx(bounds(oval).h_max, rel=1e-7)
+    assert h == pytest.approx(sheet_extremes(-2.0, 1.0, -1.0)[1], rel=1e-7)
 
 
 def test_interval_contains():

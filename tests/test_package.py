@@ -1,5 +1,6 @@
-"""Package hygiene: no module imports a name it never uses, and every function
-the benchmark's span recorder wraps still exists."""
+"""Package hygiene: no module imports a name it never uses, no module-level
+private name goes unread, and every function the benchmark's span recorder
+wraps still exists."""
 
 import ast
 import importlib
@@ -47,6 +48,57 @@ def test_the_import_guard_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_definitions(source: str) -> list[str]:
+    """Module-level private names (`_x` functions, classes and constants)
+    that a module defines."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _names_read(source: str) -> set[str]:
+    """Names a module reads: `Name` loads plus attribute names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def _dead_private_names(sources: list[str]) -> list[str]:
+    """Private module-level names defined in one of the sources and read in
+    none of them."""
+    read = set().union(*map(_names_read, sources))
+    return [n for src in sources for n in _private_definitions(src) if n not in read]
+
+
+def test_the_dead_name_guard_sees_unread_private_names():
+    defining = (
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "class _Orphan:\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    return name\n"
+    )
+    reading = "from . import a\nx = a._helper()\n"
+    assert _dead_private_names([defining, reading]) == ["_UNUSED", "_Orphan"]
+
+
+def test_no_dead_private_names():
+    assert _dead_private_names([path.read_text() for path in MODULES]) == []
 
 
 def test_every_traced_function_resolves():

@@ -7,9 +7,9 @@ import pytest
 
 import negrefractor as nr
 from negrefractor import detmath, fresnel, ovals, raytrace, refractor
-from negrefractor.raytrace import energy_audit, trace_field, trace_one
-from negrefractor.refractor import RefractorState, assign_envelope, sheet_radii
-from conftest import duplicate_sheet_state, solvable_config, symmetric_pair_config
+from negrefractor.raytrace import trace_field, trace_one
+from negrefractor.refractor import RefractorState, assign_envelope, evaluate_field, sheet_radii
+from conftest import audit_state, duplicate_sheet_state, solvable_config, symmetric_pair_config
 
 
 def _single_state(kappa=-1.5, b=-1.49):
@@ -53,7 +53,7 @@ def test_audit_ledger_and_cross_binning():
     cfg = symmetric_pair_config(-1.5, level=6)
     sol = nr.solve_discrete(cfg)
     rule = cfg.rule()
-    audit = energy_audit(sol.state, rule, cfg.density)
+    _, _, audit = audit_state(sol.state, rule, cfg.density)
     incident = float(np.sum(rule.weights))
     # transported + reflected reassemble the incident flux
     assert abs(audit.per_target.sum() + audit.reflected - incident) <= 1e-12 * incident
@@ -67,7 +67,7 @@ def test_audit_critical_reflects_nothing():
     cfg = symmetric_pair_config(-1.0, level=6)
     sol = nr.solve_discrete(cfg)
     rule = cfg.rule()
-    audit = energy_audit(sol.state, rule, cfg.density)
+    _, _, audit = audit_state(sol.state, rule, cfg.density)
     assert audit.reflected == 0.0
     assert audit.per_target.sum() == pytest.approx(float(np.sum(rule.weights)), rel=1e-14)
 
@@ -76,7 +76,7 @@ def test_trace_field_matches_trace_one():
     cfg = symmetric_pair_config(-1.5, level=4)
     state = RefractorState(cfg.medium, cfg.targets, np.array([cfg.b1, cfg.b1 * 0.999]))
     rule = cfg.rule()
-    Z, m_dir, assigned, tie, focus_err, r, t = trace_field(state, rule)
+    Z, m_dir, assigned, tie, focus_err, r, t = trace_field(state, rule, evaluate_field(state, rule))
     for i in range(0, rule.count, 37):
         one = trace_one(state, rule.nodes[i])
         assert one.active == assigned[i]
@@ -91,14 +91,14 @@ def test_trace_field_matches_trace_one():
 def test_audit_with_ties_still_balances():
     # duplicate sheets: every node is a tie; energy is still fully accounted
     dup, rule = duplicate_sheet_state()
-    audit = energy_audit(dup, rule, nr.EmissionDensity.uniform(1.0))
+    _, _, audit = audit_state(dup, rule, nr.EmissionDensity.uniform(1.0))
     assert audit.skipped_fraction == 1.0
     incident = float(np.sum(rule.weights))
     assert abs(audit.per_target.sum() + audit.reflected - incident) <= 1e-12 * incident
     assert audit.max_discrepancy <= 1e-15
 
 
-def _reference_trace_field(state, rule, margin=None):
+def _reference_trace_field(state, rule):
     """`trace_field` with the focus-error step over all nodes at once: the
     whole-array computation the node blocks must reproduce bit for bit."""
     X = rule.nodes
@@ -136,7 +136,7 @@ def _reference_trace_field(state, rule, margin=None):
     c = detmath.dot_rows(X, m_ok)
     r = np.zeros(rule.count)
     if state.medium.regime is not ovals.Regime.CRITICAL:
-        r[ok] = np.asarray(fresnel.reflectance(c[ok], state.medium, margin))
+        r[ok] = np.asarray(fresnel.reflectance(c[ok], state.medium))
     t = 1.0 - r
     return Z, m_dir, assigned, tie, focus_err, r, t
 
@@ -161,7 +161,7 @@ def test_blocked_trace_field_matches_whole_array_reference(monkeypatch, block):
     for name, state, rule in _blocked_trace_cases():
         assert rule.count % block, (name, rule.count, block)
         ref = _reference_trace_field(state, rule)
-        got = trace_field(state, rule)
+        got = trace_field(state, rule, evaluate_field(state, rule))
         assert len(got) == len(ref) == 7
         for k, (a, b) in enumerate(zip(got, ref)):
             assert a.dtype == b.dtype and a.shape == b.shape, (name, k)
@@ -172,8 +172,9 @@ def test_blocked_trace_field_matches_whole_array_reference(monkeypatch, block):
 
 def _reference_audit(state, rule, density):
     """`energy_audit` with the nearest-focus arg-min taken over all non-tie
-    rows at once: the whole-array computation the row blocks must reproduce."""
-    Z, m_dir, assigned, tie, focus_err, r, t = trace_field(state, rule)
+    rows at once, on the whole-array trace with its own envelope: the
+    computation the row blocks must reproduce."""
+    Z, m_dir, assigned, tie, focus_err, r, t = _reference_trace_field(state, rule)
     fvals = density.values_on(rule)
     w = rule.weights
     ok = ~tie
@@ -213,7 +214,7 @@ def test_blocked_audit_matches_whole_array_reference(monkeypatch, block):
     density = nr.EmissionDensity.uniform(1.0)
     ref = _reference_audit(state, rule, density).to_dict()
     monkeypatch.setattr(raytrace, "_FOCUS_BLOCK", block)
-    got = energy_audit(state, rule, density).to_dict()
+    got = audit_state(state, rule, density)[2].to_dict()
     assert got == ref
     assert 0 < ref["skipped_fraction"] < 1 and len(ref["per_target"]) == 3
     assert rule.count % block and int(rule.count * (1 - ref["skipped_fraction"])) % block

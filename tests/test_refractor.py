@@ -17,7 +17,7 @@ from negrefractor.refractor import (
     measures,
     sheet_radii,
 )
-from conftest import DEG, symmetric_pair_config
+from conftest import DEG, sheet_extremes, symmetric_pair_config
 
 
 def _single_state(kappa=-1.5, b=None):
@@ -116,11 +116,10 @@ def test_transmission_matches_snell_path():
         state = RefractorState(cfg.medium, cfg.targets, np.array([cfg.b1, cfg.b1]))
         rule = cfg.rule()
         fe = evaluate_field(state, rule)
-        _, _, assigned, tie, _, _, t = trace_field(state, rule)
+        _, _, assigned, tie, _, _, t = trace_field(state, rule, fe)
         ok = ~tie
         assert np.count_nonzero(ok) > 0.9 * rule.count
         assert set(np.unique(assigned[ok])) == {0, 1}
-        assert np.array_equal(fe.assigned, assigned)
         assert np.allclose(fe.transmittance[ok], t[ok], rtol=0.0, atol=1e-12)
 
 
@@ -190,9 +189,10 @@ def test_envelope_within_sheet_bounds():
     state = RefractorState(cfg.medium, cfg.targets, np.array([cfg.b1, cfg.b1 * 0.999]))
     rule = cfg.rule()
     fe = evaluate_field(state, rule)
-    bds = [ovals.bounds(state.sheet(j)) for j in range(2)]
-    assert np.all(fe.rho >= min(b.h_min for b in bds) - 1e-12)
-    assert np.all(fe.rho <= max(b.h_max for b in bds) + 1e-12)
+    bds = [sheet_extremes(state.medium.kappa, p, bj)
+           for p, bj in zip(state.targets.norms, state.b)]
+    assert np.all(fe.rho >= min(b[0] for b in bds) - 1e-12)
+    assert np.all(fe.rho <= max(b[1] for b in bds) + 1e-12)
 
 
 def test_monotone_measure_response():

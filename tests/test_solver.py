@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import negrefractor as nr
-from negrefractor import ovals, refractor, solver
-from negrefractor.raytrace import energy_audit
+from negrefractor import cli, ovals, refractor, solver
+from negrefractor.raytrace import energy_audit, trace_field
 from negrefractor.solver import (
     DiskPatch,
     RadonProblem,
@@ -71,6 +71,21 @@ def test_validate_angular_admissibility():
     )
     rep = validate(_replace(cfg, targets=bad_targets))
     assert any(r.name == "A4" and r.status == "fail" for r in rep.records)
+
+
+def test_margin_that_empties_the_window_is_reported():
+    # kappa = -1.5: the window floor 1/kappa plus 1.7 lies above 1
+    cfg = _replace(solvable_config(-1.5, 2, seed=3, level=4), margin=nr.AdmissibilityMargin(1.7))
+    rep = validate(cfg)
+    assert not rep.passed
+    failed = {r.name: r.detail for r in rep.records if r.status == "fail"}
+    assert "empties the admissible window" in failed["A4"]
+    assert "A5" in failed
+    assert not any(r.name == "margin-erosion" for r in rep.records)
+    assert rep.c_eps == 1.0 and rep.surplus_ratio == 0.0
+    cli.canonical_json(rep.to_dict())  # every number is finite
+    with pytest.raises(ValidationFailure):
+        solve_discrete(cfg)
 
 
 def test_validate_critical_surplus_reduces_to_mass():
@@ -290,13 +305,51 @@ def test_accepted_parameters_stay_in_valid_brackets():
             assert sol.b[j] <= hi + 1e-12
 
 
+@pytest.mark.parametrize("kappa", [-1.5, -0.5, -1.0])
+def test_report_field_is_the_field_of_the_solved_state(kappa):
+    cfg = solvable_config(kappa, 4, seed=80, level=6)
+    rule = cfg.rule()
+    sol = solve_discrete(cfg, rule)
+    assert sum(s["level"] == rule.level for s in sol.sweeps) > 1
+    fresh = refractor.evaluate_field(sol.state, rule)
+    for name in ("rho", "assigned", "tie", "transmittance"):
+        got, want = getattr(sol.field, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert sol.measures.tobytes() == refractor.measures(sol.state, rule, cfg.density).tobytes()
+
+
+def test_sweeps_evaluate_the_sheets_once_per_ladder_stage(monkeypatch):
+    calls = []
+    original = refractor.sheet_radii
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(refractor, "sheet_radii", counted)
+    monkeypatch.setattr(solver, "sheet_radii", counted)
+    after_init = []
+    init = solver.init_state
+
+    def init_state(*args, **kwargs):
+        state = init(*args, **kwargs)
+        after_init.append(len(calls))
+        return state
+
+    monkeypatch.setattr(solver, "init_state", init_state)
+    sol = solve_discrete(solvable_config(-0.5, 4, seed=80, level=6))
+    stages = len({s["level"] for s in sol.sweeps})
+    assert stages == 4 and len(sol.sweeps) > 2 * stages
+    assert len(calls) - after_init[0] == stages
+
+
 # ---------------------------------------------------------------------------
 # weak-solution certificate
 # ---------------------------------------------------------------------------
 
 def test_verify_weak_roundtrip(strong_pair_solution):
     cfg, sol = strong_pair_solution
-    ok, cert = verify_weak(sol.state, cfg)
+    ok, cert = verify_weak(cfg, sol.measures)
     assert ok
     names = {e["name"] for e in cert}
     assert "G[1]>=g[1]-tol" in names and "sum G == total" in names
@@ -311,7 +364,7 @@ def test_verify_weak_detects_perturbation():
     assert sol.converged
     b_tol = 1e-8 * float(cfg.targets.norms[1])
     moved = sol.state.with_b(sol.b + np.array([0.0, 10 * b_tol]))
-    ok, cert = verify_weak(moved, cfg)
+    ok, cert = verify_weak(cfg, refractor.measures(moved, cfg.rule(), cfg.density))
     assert not ok
     bad = [e for e in cert if not e["ok"]]
     assert any("G[1]" in e["name"] for e in bad)
@@ -321,7 +374,7 @@ def test_verify_weak_single_target():
     cfg = symmetric_pair_config(-1.5)
     cfg = _replace(cfg, targets=nr.TargetSpec(cfg.targets.points[:1], np.array([0.3])))
     sol = solve_discrete(cfg)
-    ok, _ = verify_weak(sol.state, cfg)
+    ok, _ = verify_weak(cfg, sol.measures)
     assert ok
 
 
@@ -654,7 +707,8 @@ def test_random_solves_keep_their_invariants(cfg):
     sol = solve_discrete(cfg, rule)
     assert sol.status in DOCUMENTED_STATUSES
     assert sol.b[0] == cfg.b1
-    audit = energy_audit(sol.state, rule, cfg.density)
+    audit = energy_audit(sol.state, rule, cfg.density, sol.field,
+                         trace_field(sol.state, rule, sol.field))
     ledger = abs(audit.per_target.sum() + audit.reflected - audit.incident)
     assert ledger <= 1e-12 * audit.incident
 
