@@ -328,9 +328,13 @@ def cmd_validate(args) -> int:
 
 def _state_from_report(config: ProblemConfig, report_path: str) -> RefractorState:
     with open(report_path) as fh:
-        doc = json.load(fh)
-    b = np.asarray(doc["report"]["solve"]["b"], dtype=float)
-    return RefractorState(config.medium, config.targets, b)
+        try:
+            b = json.load(fh)["report"]["solve"]["b"]
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError: not JSON or not UTF-8
+            raise SchemaError(
+                f"state file {report_path} is not a solve report with report.solve.b: {exc!r}"
+            ) from exc
+    return RefractorState(config.medium, config.targets, np.asarray(b, dtype=float))
 
 
 def _write_or_print(text: str, out: str | None):
@@ -361,7 +365,6 @@ def cmd_solve(args) -> int:
         "weak_certificate": {"ok": ok_weak, "entries": certificate},
         "audit": audit.to_dict(),
     }
-    del doc["solve"]["validation"]  # already at top level
     text = finalize_report(
         doc,
         {
@@ -395,18 +398,15 @@ def cmd_fresnel_table(args) -> int:
     _, t_max = margin.window(args.kappa)  # raises when the margin empties it
     t_min = medium.regime.window_floor(args.kappa) + args.epsilon
     cs = np.linspace(t_min, t_max, args.samples)
-    rows = ["c,p,q,r,t"]
-    for c in cs:
-        if medium.regime.lossless:
-            p = q = 0.0
-            r = 0.0
-        else:
-            p = fresnel.p_coefficient(float(c), medium)
-            q = fresnel.q_coefficient(float(c), medium)
-            r = fresnel.reflectance(float(c), medium, margin)
-        rows.append(
-            ",".join(_fmt_float(v) for v in (c, p, q, r, 1.0 - r))
-        )
+    r = fresnel.reflectance(cs, medium, margin)
+    if medium.regime.lossless:
+        p = q = r
+    else:
+        p = fresnel.p_coefficient(cs, medium)
+        q = fresnel.q_coefficient(cs, medium)
+    rows = ["c,p,q,r,t"] + [
+        ",".join(_fmt_float(v) for v in row) for row in zip(cs, p, q, r, 1.0 - r)
+    ]
     _write_or_print("\n".join(rows), args.out)
     return EXIT_OK
 
@@ -472,7 +472,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (SchemaError, FileNotFoundError, KeyError) as exc:
+    except (SchemaError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationFailure as exc:

@@ -79,7 +79,7 @@ class AdmissibilityMargin:
 
 
 def phi(t, kappa: float):
-    """Snell multiplier Phi(t) = t + sqrt(t^2 - (1 - kappa^2)); scalar or array.
+    """Snell multiplier Phi(t) = t + sqrt(t^2 - (1 - kappa^2)), elementwise.
 
     Raises TotalInternalReflectionError when the radicand is negative (only
     possible for |kappa| < 1, where it requires t^2 >= 1 - kappa^2).
@@ -91,8 +91,7 @@ def phi(t, kappa: float):
         raise TotalInternalReflectionError(
             f"no transmitted ray: t={t!r} outside validity for kappa={kappa}"
         )
-    out = t + np.sqrt(np.maximum(radicand, 0.0))
-    return float(out) if out.ndim == 0 else out
+    return t + np.sqrt(np.maximum(radicand, 0.0))
 
 
 def refract(x, nu, kappa: float) -> np.ndarray:
@@ -110,16 +109,14 @@ def p_coefficient(c, medium: MediumPair):
     """Parallel-polarization amplitude ratio p(c)."""
     c = np.asarray(c, dtype=float)
     k, s = medium.kappa, medium.sigma
-    out = (s + k - (1.0 + k * s) * c) / (s - k + (1.0 - k * s) * c)
-    return float(out) if out.ndim == 0 else out
+    return (s + k - (1.0 + k * s) * c) / (s - k + (1.0 - k * s) * c)
 
 
 def q_coefficient(c, medium: MediumPair):
     """Perpendicular-polarization amplitude ratio q(c)."""
     c = np.asarray(c, dtype=float)
     k, s = medium.kappa, medium.sigma
-    out = (1.0 + k * s - (s + k) * c) / (1.0 - k * s + (s - k) * c)
-    return float(out) if out.ndim == 0 else out
+    return (1.0 + k * s - (s + k) * c) / (1.0 - k * s + (s - k) * c)
 
 
 def _check_window(c, medium: MediumPair, margin: AdmissibilityMargin | None):
@@ -146,14 +143,11 @@ def reflectance(c, medium: MediumPair, margin: AdmissibilityMargin | None = None
     silently returning r = 1.
     """
     if medium.regime.lossless:
-        c = np.asarray(c, dtype=float)
-        out = np.zeros_like(c)
-        return float(out) if out.ndim == 0 else out
+        return np.zeros_like(c, dtype=float)
     _check_window(c, medium, margin)
     p = p_coefficient(c, medium)
     q = q_coefficient(c, medium)
-    out = medium.alpha * p * p + medium.beta * q * q
-    return float(out) if np.ndim(out) == 0 else out
+    return medium.alpha * p * p + medium.beta * q * q
 
 
 def transmittance(c, medium: MediumPair):

@@ -64,10 +64,6 @@ class SupportConditionError(ValueError):
     """Direction lies outside the surface's polar domain."""
 
 
-class DiscriminantError(SupportConditionError):
-    """Radicand of the polar-radius formula is negative."""
-
-
 def regime_of(kappa: float) -> Regime:
     if not np.isfinite(kappa) or kappa >= 0.0:
         raise ValueError(f"relative index must be negative, got {kappa}")
@@ -198,16 +194,8 @@ def polar_radius(oval: OvalParams, x) -> float:
     x = np.asarray(x, dtype=float)
     h, ok = radii(oval.kappa, oval.focus, oval.b, x[None, :])
     if not ok[0]:
-        dots = float(x @ oval.focus)
-        if oval.regime is Regime.STRONG:
-            cut = support_cut(oval) * oval.focus_norm
-            if dots < cut:
-                raise SupportConditionError(
-                    f"x.P = {dots} below the support cut {cut}"
-                )
-            raise DiscriminantError("negative discriminant in polar radius")
         raise SupportConditionError(
-            f"x.P = {dots} violates the support condition (b = {oval.b})"
+            f"x.P = {float(x @ oval.focus)} violates the support condition (b = {oval.b})"
         )
     return float(h[0])
 

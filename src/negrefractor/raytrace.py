@@ -26,8 +26,6 @@ from .refractor import EmissionDensity, FieldEvaluation, RefractorState, assign_
 
 @dataclass(frozen=True)
 class TraceResult:
-    x: np.ndarray
-    z: np.ndarray
     nu: np.ndarray | None
     m: np.ndarray | None
     active: int
@@ -75,14 +73,14 @@ def trace_one(state: RefractorState, x) -> TraceResult:
     j = int(assigned[0])
     z = float(rho[0]) * x
     if tie[0]:
-        return TraceResult(x, z, None, None, j, np.nan, np.nan, np.nan, True)
+        return TraceResult(None, None, j, np.nan, np.nan, np.nan, True)
     nu = ovals.normal_at(state.sheet(j), x)
     m = fresnel.refract(x, nu, state.medium.kappa)
     c = float(x @ m)
     r = float(fresnel.reflectance(c, state.medium))
     t = 1.0 - r
     err = _focus_error(z, m, state.targets.points[j])
-    return TraceResult(x, z, nu, m, j, err, r, t, False)
+    return TraceResult(nu, m, j, err, r, t, False)
 
 
 # Nodes per block of the focus-error step: (_FOCUS_BLOCK, m) float64
@@ -143,7 +141,7 @@ def trace_field(state: RefractorState, rule: QuadratureRule, field: FieldEvaluat
 
     c = detmath.dot_rows(X, m_ok)
     r = np.zeros(rule.count)
-    r[ok] = np.asarray(fresnel.reflectance(c[ok], state.medium))
+    r[ok] = fresnel.reflectance(c[ok], state.medium)
     t = 1.0 - r
     return Z, m_dir, assigned, tie, focus_err, r, t
 
@@ -191,7 +189,7 @@ def energy_audit(
         c_tie = refractor.refraction_cosines(
             state, rule.nodes[tie], detmath.norm_rows(Z[tie]), assigned[tie]
         )
-        r_tie = np.asarray(fresnel.reflectance(c_tie, state.medium), dtype=float)
+        r_tie = fresnel.reflectance(c_tie, state.medium)
         r_full[tie] = r_tie
         t_full[tie] = 1.0 - r_tie
 

@@ -43,26 +43,25 @@ class TargetSpec:
 
     points: np.ndarray   # (m, dim)
     weights: np.ndarray  # (m,)
+    norms: np.ndarray = field(init=False)  # (m,) |P_j|
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         wts = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if pts.shape[0] != wts.shape[0] or pts.shape[0] < 1:
             raise ValueError("need one positive weight per target point")
-        if np.any(detmath.norm_rows(pts) <= 0.0):
+        norms = detmath.norm_rows(pts)
+        if np.any(norms <= 0.0):
             raise ValueError("target points must be away from the origin")
         if np.any(wts <= 0.0):
             raise ValueError("target weights must be positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
+        object.__setattr__(self, "norms", norms)
 
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def norms(self) -> np.ndarray:
-        return detmath.norm_rows(self.points)
 
     @property
     def total(self) -> float:

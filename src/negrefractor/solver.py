@@ -120,10 +120,10 @@ class ValidationReport:
         }
 
 
-def _cosines_to_targets(rule: QuadratureRule, targets: TargetSpec) -> np.ndarray:
-    """(m, N) matrix of x . P_j / |P_j| over the quadrature nodes."""
+def _cosine_minima(rule: QuadratureRule, targets: TargetSpec) -> np.ndarray:
+    """Each target's minimum of x . P_j / |P_j| over the quadrature nodes."""
     unit_targets = targets.points / targets.norms[:, None]
-    return np.array([detmath.dot_rows(rule.nodes, u) for u in unit_targets])
+    return np.array([detmath.dot_rows(rule.nodes, u).min() for u in unit_targets])
 
 
 def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> ValidationReport:
@@ -154,8 +154,8 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
     }[reg]
     n_cone, n_r0, n_f, n_sep, n_ang, n_sur = names
 
-    cosines = _cosines_to_targets(rule, tgt)
-    cos_min = float(cosines.min())
+    cos_mins = _cosine_minima(rule, tgt)
+    cos_min = float(cos_mins.min())
     p_min = float(tgt.norms.min())
     p_max = float(tgt.norms.max())
 
@@ -267,7 +267,7 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
         add("anchor-window", True, f"|b1| <= |P1|: {abs(config.b1)} <= {p1}")
 
     # the anchor sheet must be evaluable on the whole aperture
-    anchor_cos = cosines[0]
+    anchor_cos = cos_mins[0]
     if adm.contains(config.b1):
         if reg is Regime.STRONG:
             cut = ovals.support_cut(
@@ -275,20 +275,20 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
             )
             add(
                 "anchor-coverage",
-                float(anchor_cos.min()) >= cut,
-                f"min x.P1/|P1| = {anchor_cos.min()} >= support cut {cut}",
+                float(anchor_cos) >= cut,
+                f"min x.P1/|P1| = {anchor_cos} >= support cut {cut}",
             )
         elif reg is Regime.MILD:
             add(
                 "anchor-coverage",
-                float(anchor_cos.min()) * p1 >= config.b1,
-                f"min x.P1 = {anchor_cos.min() * p1} >= b1 = {config.b1}",
+                float(anchor_cos) * p1 >= config.b1,
+                f"min x.P1 = {anchor_cos * p1} >= b1 = {config.b1}",
             )
         else:
             add(
                 "anchor-coverage",
-                float(anchor_cos.min()) * p1 > config.b1,
-                f"min x.P1 = {anchor_cos.min() * p1} > b1 = {config.b1}",
+                float(anchor_cos) * p1 > config.b1,
+                f"min x.P1 = {anchor_cos * p1} > b1 = {config.b1}",
             )
 
     if reg.lossless and med.sigma != 1.0:
@@ -300,10 +300,15 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
         )
 
     # worst-case refraction-cosine erosion: the surface sits within r0 of the
-    # origin, so x.m can undercut x.P/|P| by an r0-sized amount
+    # origin, so x.m can undercut x.P/|P| by an r0-sized amount.  For
+    # r0 < |P_j| (the r0 record's cap lies below min |P|) the bound
+    # (c|P| - r0)/(|P| +- r0) is non-decreasing in c under rounding: each
+    # rounded step is monotone, and a negative numerator always maps below a
+    # non-negative one.  So its minimum over the nodes is its value at each
+    # target's least cosine, bit for bit.
     if not reg.lossless and threshold is not None:
-        num = cosines * tgt.norms[:, None] - config.r0
-        den = np.where(num >= 0.0, tgt.norms[:, None] + config.r0, tgt.norms[:, None] - config.r0)
+        num = cos_mins * tgt.norms - config.r0
+        den = np.where(num >= 0.0, tgt.norms + config.r0, tgt.norms - config.r0)
         eroded = float((num / den).min())
         add(
             "margin-erosion",
@@ -423,7 +428,6 @@ def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> Ref
     if m == 1:
         return RefractorState(med, tgt, np.array([config.b1]))
 
-    cos_nodes = _cosines_to_targets(rule, tgt)
     b = np.empty(m)
     b[0] = config.b1
     if reg is Regime.STRONG:
@@ -454,10 +458,11 @@ def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> Ref
             )
         return state
     # critical: push each sheet up toward its aperture cut
+    cos_mins = _cosine_minima(rule, tgt)
     for j in range(1, m):
         p = tgt.norms[j]
         b[j] = min(
-            float(cos_nodes[j].min()) * p - 1e-6 * p,
+            float(cos_mins[j]) * p - 1e-6 * p,
             p * (1.0 - _EDGE),
         )
     state = RefractorState(med, tgt, b.copy())
@@ -507,7 +512,6 @@ class SolveReport:
             "max_rho": self.max_rho,
             "r0": self.r0,
             "sweeps": self.sweeps,
-            "validation": self.validation.to_dict(),
         }
 
 
@@ -742,7 +746,7 @@ def _sweep_stage(
     m = tgt.count
     tol = config.tolerances
     increasing = med.regime.max_envelope
-    cos_nodes = _cosines_to_targets(rule, tgt)
+    cos_mins = _cosine_minima(rule, tgt)
     dens = config.density.values_on(rule)
     wf = rule.weights * dens
 
@@ -771,9 +775,7 @@ def _sweep_stage(
             if abs(g_now - target_j) <= 0.25 * stage_tol_abs:
                 counts.append(1)
                 continue
-            lo, hi = _coordinate_range(
-                config, j, C1_est, float(cos_nodes[j].min())
-            )
+            lo, hi = _coordinate_range(config, j, C1_est, float(cos_mins[j]))
             b_tol_j = tol.b_tol * float(tgt.norms[j])
             ws.restrict()
             bj, evals, exhausted = _bisect_coordinate(
@@ -856,10 +858,6 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
             state, field, G, status = _sweep_stage(
                 config, stage_rule, b, stage_tol, tol.max_outer, sweeps
             )
-        if status == "converged":
-            resid = float(np.max(np.abs(G[1:] - tgt.weights[1:])))
-            if resid > tol_abs:
-                status = "max_outer_exceeded"
 
     rho = field.rho
     anchor_surplus = float(G[0] - tgt.weights[0])
@@ -930,6 +928,11 @@ def verify_weak(config: ProblemConfig, G: np.ndarray) -> tuple[bool, list[dict]]
 # dyadic refinement of a continuous target density
 # ---------------------------------------------------------------------------
 
+# Cells a side of the reference cloud over a patch's chart square; dyadic
+# levels up to 9 divide it.
+_CHART_RESOLUTION = 256
+
+
 @dataclass(frozen=True)
 class DiskPatch:
     """Planar disk carrying a uniform surface density (3-D targets only).
@@ -945,7 +948,6 @@ class DiskPatch:
     radius: float
     density: float = 1.0
     anchor_uv: tuple = (0.11, 0.07)  # chart coords in units of radius
-    chart_resolution: int = 256
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
@@ -955,8 +957,6 @@ class DiskPatch:
         object.__setattr__(self, "normal", unit(np.asarray(self.normal, dtype=float)))
         if not (self.radius > 0.0 and self.density > 0.0):
             raise ValueError("radius and density must be positive")
-        if self.chart_resolution % 2 or self.chart_resolution < 4:
-            raise ValueError("chart resolution must be an even integer >= 4")
 
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
         return _orthonormal_frame(self.normal)
@@ -973,7 +973,7 @@ class DiskPatch:
 
     def reference_cloud(self) -> tuple[np.ndarray, np.ndarray]:
         """Fixed midpoint cloud (chart coords, per-point masses) over the disk."""
-        n = self.chart_resolution
+        n = _CHART_RESOLUTION
         step = 2.0 * self.radius / n
         ticks = -self.radius + (np.arange(n) + 0.5) * step
         uu, vv = np.meshgrid(ticks, ticks, indexing="ij")
@@ -1014,9 +1014,9 @@ def dyadic_atoms(patch: DiskPatch, level: int):
     if level < 1:
         raise ValueError("level must be >= 1")
     n_side = 2 ** (level - 1)
-    if patch.chart_resolution % n_side:
+    if _CHART_RESOLUTION % n_side:
         raise ValueError(
-            f"chart resolution {patch.chart_resolution} not divisible by {n_side}"
+            f"chart resolution {_CHART_RESOLUTION} not divisible by {n_side}"
         )
     uv, masses = patch.reference_cloud()
     step = 2.0 * patch.radius / n_side
@@ -1047,11 +1047,10 @@ def dyadic_atoms(patch: DiskPatch, level: int):
 @dataclass
 class RefinementReport:
     levels: list
-    states: list
     mass_error: float
     sup_diffs: list
     status: str
-    anchor_test_cell: int = -1
+    anchor_test_cell: int
 
     @property
     def converged(self) -> bool:
@@ -1070,6 +1069,21 @@ class RefinementReport:
 _TEST_LEVEL = 2
 
 
+def _test_cells(patch: DiskPatch, cells: np.ndarray, n_side: int) -> np.ndarray:
+    """Flat index of the test cell of each atom, given the `cells` and
+    `n_side` that `dyadic_atoms(patch, level)` returns.
+
+    Dyadic cells nest, so an atom's test cell is the ancestor of its own
+    cell.  The anchor atom, listed first, takes the anchor's test cell, which
+    `dyadic_atoms(patch, _TEST_LEVEL)` lists first: at level 1 the anchor's
+    own cell is the whole chart square.
+    """
+    side = 2 ** (_TEST_LEVEL - 1)
+    test = cells * side // n_side
+    test[0] = dyadic_atoms(patch, _TEST_LEVEL)[2][0]
+    return test[:, 0] * side + test[:, 1]
+
+
 def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
     """Solve the dyadic approximations level by level.
 
@@ -1086,20 +1100,14 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
     rule = build_quadrature(problem.domain, problem.quadrature_level)
     total_mass = problem.patch.total_mass()
     level_rows: list[dict] = []
-    states: list[RefractorState] = []
     sup_diffs: list[float] = []
     prev_rho = None
     mass_err = 0.0
     status = "converged"
     test_side = 2 ** (_TEST_LEVEL - 1)
-    test_step = 2.0 * problem.patch.radius / test_side
-    auv = np.array(problem.patch.anchor_uv, dtype=float) * problem.patch.radius
-    a_tu = min(int((auv[0] + problem.patch.radius) / test_step), test_side - 1)
-    a_tv = min(int((auv[1] + problem.patch.radius) / test_step), test_side - 1)
-    anchor_cell = a_tu * test_side + a_tv
 
     for level in range(1, levels + 1):
-        points, masses, cells, _ = dyadic_atoms(problem.patch, level)
+        points, masses, cells, n_side = dyadic_atoms(problem.patch, level)
         mass_err = max(mass_err, abs(float(np.sum(masses)) - total_mass))
         config = ProblemConfig(
             domain=problem.domain,
@@ -1122,13 +1130,9 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
         prev_rho = rho
 
         # energy landing in each fixed test cell
-        e1, e2 = problem.patch.frame()
-        rel = points - problem.patch.center[None, :]
-        uv = np.column_stack([rel @ e1, rel @ e2])
-        tu = np.clip(((uv[:, 0] + problem.patch.radius) / test_step).astype(int), 0, test_side - 1)
-        tv = np.clip(((uv[:, 1] + problem.patch.radius) / test_step).astype(int), 0, test_side - 1)
+        test_cells = _test_cells(problem.patch, cells, n_side)
         cell_energy = np.zeros(test_side * test_side)
-        np.add.at(cell_energy, tu * test_side + tv, solve.measures)
+        np.add.at(cell_energy, test_cells, solve.measures)
 
         level_rows.append(
             {
@@ -1143,15 +1147,13 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
                 "test_cell_energy": cell_energy.tolist(),
             }
         )
-        states.append(solve.state)
         if not solve.converged:
             break
 
     return RefinementReport(
         levels=level_rows,
-        states=states,
         mass_error=mass_err,
         sup_diffs=sup_diffs,
         status=status,
-        anchor_test_cell=anchor_cell,
+        anchor_test_cell=int(test_cells[0]),  # the anchor atom's
     )

@@ -245,6 +245,41 @@ def test_fresnel_table(tmp_path):
         assert abs(r - (0.5 * p * p + 0.5 * q * q)) <= 1e-15
 
 
+def test_fresnel_table_is_lossless_at_kappa_minus_one(tmp_path):
+    out = tmp_path / "table.csv"
+    code = cli.main([
+        "fresnel-table", "--kappa", "-1", "--sigma", "1.3", "--epsilon", "0.1",
+        "--samples", "21", "--out", str(out),
+    ])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "c,p,q,r,t" and len(lines) == 22
+    for row in lines[1:]:
+        assert row.split(",")[1:] == ["0", "0", "0", "1"]
+
+
+@pytest.mark.parametrize("command", ["trace", "export"])
+@pytest.mark.parametrize("state", [b'{"report": {"solve": {}}}', b"{not json", b"\xff\xfe{}"])
+def test_malformed_state_file_is_a_schema_error(tmp_path, capsys, command, state):
+    cfgp = _write(tmp_path, _config_dict())
+    statep = tmp_path / "state.json"
+    statep.write_bytes(state)
+    outputs = {"trace": ["--out-csv", str(tmp_path / "rays.csv")],
+               "export": ["--out", str(tmp_path / "surface.obj")]}[command]
+    code = cli.main([command, cfgp, "--state", str(statep), *outputs])
+    assert code == cli.EXIT_PARSE
+    assert "report.solve.b" in capsys.readouterr().err
+
+
+def test_stray_key_error_is_an_internal_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("b")
+
+    monkeypatch.setattr(solver, "solve_discrete", broken)
+    code = cli.main(["solve", _write(tmp_path, _config_dict())])
+    assert code == cli.EXIT_INTERNAL
+
+
 def _two_dimensional_doc(level):
     a = math.radians(4.0)
     return {

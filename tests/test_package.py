@@ -1,6 +1,6 @@
 """Package hygiene: no module imports a name it never uses, no module-level
-private name goes unread, and every function the benchmark's span recorder
-wraps still exists."""
+private name goes unread, no dataclass field goes unread, and every function
+the benchmark's span recorder wraps still exists."""
 
 import ast
 import importlib
@@ -11,6 +11,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "negrefractor").glob("*.py"))
+# every file that may read a field of the package's dataclasses
+READERS = sorted(
+    path for tree in ("src", "tests", "perfbench") for path in (ROOT / tree).rglob("*.py")
+)
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -99,6 +103,83 @@ def test_the_dead_name_guard_sees_unread_private_names():
 
 def test_no_dead_private_names():
     assert _dead_private_names([path.read_text() for path in MODULES]) == []
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass"
+    )
+
+
+def _dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for each annotated field of each `@dataclass` class."""
+    return [
+        (node.name, stmt.target.id)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def _attributes_read(source: str) -> set[str]:
+    """Attribute names a source reads: `Attribute` loads and the constant
+    name of `getattr(obj, "name", ...)`."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)
+        ):
+            read.add(node.args[1].value)
+    return read
+
+
+def _unread_fields(defining: list[str], reading: list[str]) -> list[str]:
+    """`Class.field` for each dataclass field in `defining` that no source in
+    `reading` reads."""
+    read = set().union(*map(_attributes_read, reading))
+    return [
+        f"{cls}.{name}"
+        for src in defining
+        for cls, name in _dataclass_fields(src)
+        if name not in read
+    ]
+
+
+def test_the_field_guard_sees_unread_dataclass_fields():
+    defining = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    read: int\n"
+        "    by_getattr: int\n"
+        "    stored: int = field(init=False)\n"
+        "    unread: int = 0\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    orphan: float\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+    )
+    reading = (
+        "def f(a):\n"
+        "    a.stored = 1\n"
+        "    return a.read, getattr(a, 'by_getattr', None)\n"
+    )
+    assert _unread_fields([defining], [defining, reading]) == [
+        "A.stored", "A.unread", "B.orphan"
+    ]
+
+
+def test_no_unread_dataclass_fields():
+    readers = [path.read_text() for path in READERS]
+    assert _unread_fields([path.read_text() for path in MODULES], readers) == []
 
 
 def test_every_traced_function_resolves():

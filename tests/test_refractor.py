@@ -9,6 +9,7 @@ import negrefractor as nr
 from negrefractor import fresnel, ovals
 from negrefractor.raytrace import trace_field, trace_one
 from negrefractor.refractor import (
+    ConfigurationError,
     EmissionDensity,
     RefractorState,
     assign_envelope,
@@ -291,3 +292,11 @@ def test_state_validation():
         nr.TargetSpec(P, np.array([-1.0]))
     with pytest.raises(ValueError):
         nr.TargetSpec(np.zeros((1, 3)), np.array([1.0]))
+
+
+def test_sheet_radii_names_the_unsupported_node():
+    # a mild sheet exists only where x . P >= b: not along x = e1 here
+    state = _single_state(-0.5, b=0.5)
+    X = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [1.0, 0.0, 0.0]])
+    with pytest.raises(ConfigurationError, match="sheet 0 not evaluable at node 2"):
+        sheet_radii(state, X)

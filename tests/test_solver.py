@@ -3,6 +3,8 @@ the candidate-node coordinate energy, randomized solver invariants, and the
 dyadic refinement driver."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -120,6 +122,28 @@ def test_validate_sigma_critical_warning():
     rep = validate(_replace(cfg, medium=nr.MediumPair(-1.0, 1.3, 0.5)))
     assert any(r.name == "impedance-critical" and r.status == "warn" for r in rep.records)
     assert rep.passed
+
+
+def test_validate_memory_does_not_scale_with_nodes_times_targets():
+    # the 60 atoms of refine_radon's level 4 on criterion 9's patch, at
+    # quadrature level 7: one (m, N) float64 array would be 15.7 MB
+    prob = _disk_problem(level=7)
+    points, masses, _, _ = dyadic_atoms(prob.patch, 4)
+    cfg = solver.ProblemConfig(
+        domain=prob.domain, density=prob.density, medium=prob.medium,
+        margin=prob.margin, targets=nr.TargetSpec(points, masses), b1=prob.b1,
+        tau=prob.tau, r0=prob.r0, quadrature_level=7, tolerances=prob.tolerances,
+    )
+    rule = cfg.rule()
+    assert (cfg.targets.count, rule.count) == (60, 32768)
+    validate(cfg, rule)
+    tracemalloc.start()
+    try:
+        validate(cfg, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +368,91 @@ def test_sweeps_evaluate_the_sheets_once_per_ladder_stage(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# bisection ends and final statuses
+# ---------------------------------------------------------------------------
+
+class _StepWorkspace:
+    """Stand-in for the coordinate workspace: the energy is 1 on one side of
+    the step s and 0 on the other, and every probe is counted."""
+
+    def __init__(self, s, increasing):
+        self.s, self.increasing, self.calls = s, increasing, 0
+
+    def at_least(self, b, target, strict=False):
+        self.calls += 1
+        g = float(b >= self.s) if self.increasing else float(b <= self.s)
+        return g > target if strict else g >= target
+
+
+@pytest.mark.parametrize("increasing", [True, False])
+@pytest.mark.parametrize("step, end", [(3.0, 2.0), (0.5, 1.0)])
+def test_bisection_returns_the_exhausted_end(increasing, step, end):
+    # a step beyond hi: an increasing energy never reaches the target on
+    # [lo, hi], a decreasing one stays above it; a step below lo: an
+    # increasing energy exceeds the target at lo, a decreasing one is below it
+    ws = _StepWorkspace(step, increasing)
+    assert solver._bisect_coordinate(ws, 1.0, 2.0, 0.5, 1e-9, increasing) == (end, 2, True)
+    assert ws.calls == 2
+
+
+@pytest.mark.parametrize("increasing", [True, False])
+def test_bisection_stops_at_adjacent_floats(increasing):
+    # b_tol = 0: only the midpoint test ends the loop, once the bracket is
+    # two adjacent floats; in [1, 2) that takes 52 halvings
+    ws = _StepWorkspace(1.3, increasing)
+    b, evals, exhausted = solver._bisect_coordinate(ws, 1.0, 2.0, 0.5, 0.0, increasing)
+    # the feasible side of the step: energy 0 <= target, next to the crossing
+    assert b == np.nextafter(1.3, -np.inf if increasing else np.inf)
+    assert not exhausted
+    assert evals == ws.calls == 2 + 52
+
+
+def _solve_with_final_field(monkeypatch, cfg, change):
+    """solve_discrete with each ladder stage's field and measures passed
+    through `change(field, G)`."""
+    original = solver._sweep_stage
+
+    def crafted(*args):
+        state, field, G, status = original(*args)
+        return (state, *change(field, G.copy()), status)
+
+    monkeypatch.setattr(solver, "_sweep_stage", crafted)
+    return solve_discrete(cfg)
+
+
+def _deficit(field, G):
+    G[0] = 0.0
+    return field, G
+
+
+def _too_far(field, G):
+    rho = field.rho.copy()
+    rho[0] = 1.0  # beyond the config's r0 = 0.085
+    return replace(field, rho=rho), G
+
+
+def _through_origin(field, G):
+    rho = field.rho.copy()
+    rho[0] = 0.0
+    return replace(field, rho=rho), G
+
+
+@pytest.mark.parametrize("change, status", [
+    (_deficit, "anchor_deficit"),
+    (_too_far, "radius_exceeded"),
+    (_through_origin, "degenerate_radius"),
+])
+def test_converged_solve_checks_the_final_field(monkeypatch, change, status):
+    cfg = symmetric_pair_config(-1.5)
+    assert solve_discrete(cfg).converged
+    sol = _solve_with_final_field(monkeypatch, cfg, change)
+    assert sol.status == status
+    assert not sol.converged
+    assert sol.min_rho == float(sol.field.rho.min())
+    assert sol.max_rho == float(sol.field.rho.max())
+
+
+# ---------------------------------------------------------------------------
 # weak-solution certificate
 # ---------------------------------------------------------------------------
 
@@ -458,6 +567,37 @@ def test_anchor_must_avoid_cell_boundaries():
         assert np.allclose(pts[0], patch.anchor_point, atol=0)
 
 
+def _projected_test_cells(patch, points):
+    """Reference test cell of each atom: project the atom's point back into
+    the patch chart and floor it on the test grid, clipped to the grid; the
+    anchor's cell is floored from its chart coordinates."""
+    side = 2 ** (solver._TEST_LEVEL - 1)
+    step = 2.0 * patch.radius / side
+    e1, e2 = patch.frame()
+    rel = points - patch.center[None, :]
+    uv = np.column_stack([rel @ e1, rel @ e2])
+    t = np.clip(((uv + patch.radius) / step).astype(int), 0, side - 1)
+    auv = np.array(patch.anchor_uv, dtype=float) * patch.radius
+    a = [min(int((c + patch.radius) / step), side - 1) for c in auv]
+    return t[:, 0] * side + t[:, 1], a[0] * side + a[1]
+
+
+@pytest.mark.parametrize("normal, anchor_uv", [
+    ((0.0, 0.0, 1.0), (0.11, 0.07)),   # criterion 9's patch
+    ((0.3, -0.2, 1.0), (0.11, 0.07)),  # tilted
+    ((0.0, 0.0, 1.0), (0.0, 0.0)),     # anchor on the cell corner
+])
+def test_test_cells_are_the_projected_cells(normal, anchor_uv):
+    patch = DiskPatch(center=np.array([0.011, 0.007, 1.0]), normal=np.array(normal),
+                      radius=0.05, density=1.0, anchor_uv=anchor_uv)
+    for level in range(1, 6):
+        points, _, cells, n_side = dyadic_atoms(patch, level)
+        ref, anchor = _projected_test_cells(patch, points)
+        got = solver._test_cells(patch, cells, n_side)
+        assert got[0] == anchor
+        assert np.array_equal(got[1:], ref[1:]), level
+
+
 # ---------------------------------------------------------------------------
 # candidate-node coordinate energy
 # ---------------------------------------------------------------------------
@@ -501,9 +641,9 @@ def _solved_workspace(kappa):
     H = refractor.sheet_radii(sol.state, rule.nodes)
     ws = solver._CoordinateWorkspace(cfg, rule, H, rule.weights * cfg.density.values_on(rule))
     C1_est = float(refractor.assign_envelope(H, sol.state.regime)[0].min())
-    cosines = solver._cosines_to_targets(rule, cfg.targets)
+    cos_mins = solver._cosine_minima(rule, cfg.targets)
     ranges = [
-        solver._coordinate_range(cfg, j, C1_est, float(cosines[j].min()))
+        solver._coordinate_range(cfg, j, C1_est, float(cos_mins[j]))
         for j in range(cfg.targets.count)
     ]
     return cfg, ws, ranges
