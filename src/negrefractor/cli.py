@@ -130,10 +130,10 @@ def load_config(path: str):
     Returns (config, echo) where echo is the deterministic config record for
     the report (including the normalization scale applied to lengths).
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config root must be an object")

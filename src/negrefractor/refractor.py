@@ -174,7 +174,7 @@ def assign_envelope(H: np.ndarray, regime: Regime):
     return rho, assigned, tie
 
 
-def refraction_cosine(p2: float, r, dots):
+def refraction_cosine(p2, r, dots):
     """Cosine x . m of the direction m from z = r x toward a target P, given
     p2 = |P|^2 and dots = x . P; elementwise over arrays."""
     return (dots - r) / np.sqrt(np.maximum(p2 - 2.0 * r * dots + r * r, 0.0))
@@ -183,14 +183,9 @@ def refraction_cosine(p2: float, r, dots):
 def refraction_cosines(state: RefractorState, X, rho, assigned) -> np.ndarray:
     """Per-node cosine x . m toward the assigned target, m = (P - z)/|P - z|."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    c = np.empty(X.shape[0])
-    for j in range(state.targets.count):
-        mask = assigned == j
-        if not np.any(mask):
-            continue
-        P = state.targets.points[j]
-        c[mask] = refraction_cosine(detmath.dot(P, P), rho[mask], detmath.dot_rows(X[mask], P))
-    return c
+    points = state.targets.points
+    p2 = detmath.dot_rows(points, points)
+    return refraction_cosine(p2[assigned], rho, detmath.dot_rows(X, points[assigned]))
 
 
 @dataclass(frozen=True)

@@ -147,12 +147,10 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
         status = "ok" if ok else ("warn" if warn_only else "fail")
         records.append(CheckRecord(name, status, detail))
 
-    names = {
-        Regime.STRONG: ("A0-1", "A0-2", "A1", "A3", "A4", "A5"),
-        Regime.MILD: ("B0-1", "B0-2", "B1", "B3", "B4", "B5"),
-        Regime.CRITICAL: ("C0-1", "C0-2", "C1", "C3", "C4", "C5"),
-    }[reg]
-    n_cone, n_r0, n_f, n_sep, n_ang, n_sur = names
+    letter = {Regime.STRONG: "A", Regime.MILD: "B", Regime.CRITICAL: "C"}[reg]
+    n_cone, n_r0, n_f, n_sep, n_ang, n_sur = (
+        letter + suffix for suffix in ("0-1", "0-2", "1", "3", "4", "5")
+    )
 
     cos_mins = _cosine_minima(rule, tgt)
     cos_min = float(cos_mins.min())
@@ -160,41 +158,31 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
     p_max = float(tgt.norms.max())
 
     # cone condition linking aperture, targets and the slack tau
-    if reg is Regime.STRONG:
-        tau_ok = 0.0 < config.tau < 1.0 - 1.0 / k
-        cone_ok = cos_min >= config.tau + 1.0 / k
-        add(
-            n_cone,
-            tau_ok and cone_ok,
-            f"tau={config.tau} in (0, {1.0 - 1.0 / k}): {tau_ok}; "
-            f"min x.P/|P| = {cos_min} >= tau + 1/kappa = {config.tau + 1.0 / k}: {cone_ok}",
-        )
-        # squares as products: pow() need not be correctly rounded
-        s2 = 1.0 + math.sqrt(2.0)
-        r0_cap = (config.tau * config.tau) * (k * k) / ((s2 * s2) * ((1.0 - k) * (1.0 - k))) * p_min
-        add(
-            n_r0,
-            0.0 < config.r0 < r0_cap,
-            f"r0={config.r0} must lie in (0, {r0_cap})",
-        )
-    elif reg is Regime.MILD:
-        tau_ok = 0.0 < config.tau < 1.0 + k
-        cone_ok = cos_min >= config.tau - k  # per-target: x.P >= (tau-k)|P|
-        add(
-            n_cone,
-            tau_ok and cone_ok,
-            f"tau={config.tau} in (0, {1.0 + k}): {tau_ok}; "
-            f"min x.P/|P| = {cos_min} >= tau - kappa = {config.tau - k}: {cone_ok}",
-        )
-        r0_cap = config.tau / (1.0 - k) * p_min
-        add(
-            n_r0,
-            0.0 < config.r0 < r0_cap,
-            f"r0={config.r0} must lie in (0, {r0_cap})",
-        )
-    else:
+    if reg.lossless:
         add(n_cone, True, "no cone slack needed at kappa = -1 (window is the full sphere)")
         add(n_r0, config.r0 > 0.0, f"r0={config.r0} must be positive")
+    else:
+        if reg is Regime.STRONG:
+            tau_cap, floor, label = 1.0 - 1.0 / k, config.tau + 1.0 / k, "tau + 1/kappa"
+            # squares as products: pow() need not be correctly rounded
+            s2 = 1.0 + math.sqrt(2.0)
+            r0_cap = (config.tau * config.tau) * (k * k) / ((s2 * s2) * ((1.0 - k) * (1.0 - k))) * p_min
+        else:  # per-target: x.P >= (tau-k)|P|
+            tau_cap, floor, label = 1.0 + k, config.tau - k, "tau - kappa"
+            r0_cap = config.tau / (1.0 - k) * p_min
+        tau_ok = 0.0 < config.tau < tau_cap
+        cone_ok = cos_min >= floor
+        add(
+            n_cone,
+            tau_ok and cone_ok,
+            f"tau={config.tau} in (0, {tau_cap}): {tau_ok}; "
+            f"min x.P/|P| = {cos_min} >= {label} = {floor}: {cone_ok}",
+        )
+        add(
+            n_r0,
+            0.0 < config.r0 < r0_cap,
+            f"r0={config.r0} must lie in (0, {r0_cap})",
+        )
 
     # source density floor
     f_vals = config.density.values_on(rule)
@@ -278,17 +266,14 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
                 float(anchor_cos) >= cut,
                 f"min x.P1/|P1| = {anchor_cos} >= support cut {cut}",
             )
-        elif reg is Regime.MILD:
-            add(
-                "anchor-coverage",
-                float(anchor_cos) * p1 >= config.b1,
-                f"min x.P1 = {anchor_cos * p1} >= b1 = {config.b1}",
-            )
         else:
+            # the mild sheet exists where x.P1 >= b1, the critical one where x.P1 > b1
+            op = ">" if reg.lossless else ">="
+            reach = float(anchor_cos) * p1
             add(
                 "anchor-coverage",
-                float(anchor_cos) * p1 > config.b1,
-                f"min x.P1 = {anchor_cos * p1} > b1 = {config.b1}",
+                reach > config.b1 if reg.lossless else reach >= config.b1,
+                f"min x.P1 = {reach} {op} b1 = {config.b1}",
             )
 
     if reg.lossless and med.sigma != 1.0:
@@ -330,40 +315,8 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
 
 
 # ---------------------------------------------------------------------------
-# brackets
+# search ranges
 # ---------------------------------------------------------------------------
-
-def bracket_b(config: ProblemConfig, j: int, C1_est: float) -> tuple[float, float]:
-    """Parameter bracket for sheet j, given a lower radius estimate.
-
-    Strong:  [C1(1-k) + k|P_j|, sqrt(k^2(|P_j|^2 - C1^2) + C1^2)]
-    Mild:    [C2(1+k) + k|P_j|, k|P_j| + (1-k) r0]
-    each intersected with the admissible range.  Critical sheets use the
-    closed admissible range directly (they carry no radius-based bracket).
-    """
-    k = config.medium.kappa
-    p = float(config.targets.norms[j])
-    adm = ovals.admissible_b(config.targets.points[j], k)
-    reg = config.medium.regime
-    if reg is Regime.CRITICAL:
-        return adm.lo, adm.hi
-    if not (C1_est > 0.0):
-        raise ValueError(f"need a positive radius estimate, got {C1_est}")
-    if reg is Regime.STRONG:
-        lo = C1_est * (1.0 - k) + k * p
-        hi_sq = k * k * (p * p - C1_est * C1_est) + C1_est * C1_est
-        hi = math.sqrt(hi_sq) if hi_sq > 0.0 else adm.lo
-    else:
-        lo = C1_est * (1.0 + k) + k * p
-        hi = k * p + (1.0 - k) * config.r0
-    lo = max(lo, adm.lo)
-    hi = min(hi, adm.hi)
-    if not (lo < hi):
-        raise InfeasibleGeometryError(
-            f"empty parameter bracket for target {j}: [{lo}, {hi}]"
-        )
-    return lo, hi
-
 
 def _strong_cut_cap(p: float, kappa: float, cos_min: float) -> float:
     """Largest b keeping the strong sheet's support cut outside the aperture."""
@@ -377,13 +330,23 @@ def _coordinate_range(
     C1_est: float,
     cos_min_j: float,
 ) -> tuple[float, float]:
-    """Search range for b_j: bracket plus aperture-coverage cap."""
+    """Search range for b_j: admissible range, sound floor and
+    aperture-coverage cap."""
     k = config.medium.kappa
     p = float(config.targets.norms[j])
     reg = config.medium.regime
     adm = ovals.admissible_b(config.targets.points[j], k)
     if reg is Regime.STRONG:
-        _, hi = bracket_b(config, j, C1_est)
+        # The radius-estimate bracket [C1(1-k) + k|P|, sqrt(k^2(|P|^2 - C1^2)
+        # + C1^2)] reduces to this refusal.  For 0 < C1 < |P| its upper end
+        # is >= |P| = adm.hi, so it never cuts below the cap taken here.  For
+        # C1 > |P| its lower end exceeds |P| (C1(1-k) + k|P| - |P| =
+        # (C1 - |P|)(1-k) > 0) and its upper end lies below |P|, so it is
+        # empty; at C1 = |P| both ends are |P| up to rounding.
+        if not (0.0 < C1_est < p):
+            raise InfeasibleGeometryError(
+                f"radius estimate {C1_est} for target {j} must lie in (0, {p})"
+            )
         # Sound floor: a sheet with radius <= r0 anywhere satisfies
         # b = h + kappa*dist >= h(1+kappa) + kappa|P| >= r0(1+kappa) + kappa|P|
         # (triangle inequality; 1+kappa < 0).  The C1-based floor of the
@@ -392,7 +355,7 @@ def _coordinate_range(
         lo = max(adm.lo + _EDGE * p, config.r0 * (1.0 + k) + k * p)
         # back off the aperture-coverage cap: at the cap itself the rim rays
         # refract at the critical cosine
-        hi = min(hi, _strong_cut_cap(p, k, cos_min_j) - 1e-9 * p, adm.hi - _EDGE * p)
+        hi = min(_strong_cut_cap(p, k, cos_min_j) - 1e-9 * p, adm.hi - _EDGE * p)
     elif reg is Regime.MILD:
         p1 = float(config.targets.norms[0])
         floor = k * p + (1.0 + k) * (config.b1 - k * p1) / (1.0 - k)
@@ -433,8 +396,7 @@ def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> Ref
     if reg is Regime.STRONG:
         c_init = float(h1.min())
         for attempt in range(80):
-            for j in range(1, m):
-                b[j] = c_init * (1.0 - k) + k * tgt.norms[j]
+            b[1:] = c_init * (1.0 - k) + k * tgt.norms[1:]
             try:
                 state = RefractorState(med, tgt, b.copy())
                 G = refractor.measures(state, rule, config.density)
@@ -447,29 +409,19 @@ def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> Ref
         raise InfeasibleGeometryError(
             "could not park the non-anchor sheets below the anchor"
         )
-    if reg is Regime.MILD:
-        for j in range(1, m):
-            b[j] = (config.tau - k) * tgt.norms[j]
-        state = RefractorState(med, tgt, b.copy())
-        G = refractor.measures(state, rule, config.density)
-        if np.any(G[1:] != 0.0):
-            raise InfeasibleGeometryError(
-                f"initialization leaves non-anchor energy {G[1:]}"
-            )
-        return state
-    # critical: push each sheet up toward its aperture cut
-    cos_mins = _cosine_minima(rule, tgt)
-    for j in range(1, m):
-        p = tgt.norms[j]
-        b[j] = min(
-            float(cos_mins[j]) * p - 1e-6 * p,
-            p * (1.0 - _EDGE),
-        )
+    if reg.lossless:
+        # critical: push each sheet up toward its aperture cut
+        p = tgt.norms[1:]
+        b[1:] = np.minimum(_cosine_minima(rule, tgt)[1:] * p - 1e-6 * p, p * (1.0 - _EDGE))
+        hint = "; lower b1"
+    else:
+        b[1:] = (config.tau - k) * tgt.norms[1:]
+        hint = ""
     state = RefractorState(med, tgt, b.copy())
     G = refractor.measures(state, rule, config.density)
     if np.any(G[1:] != 0.0):
         raise InfeasibleGeometryError(
-            f"initialization leaves non-anchor energy {G[1:]}; lower b1"
+            f"initialization leaves non-anchor energy {G[1:]}{hint}"
         )
     return state
 
@@ -823,6 +775,8 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
     The sweeps climb a short quadrature ladder (a few coarser levels first,
     carrying the parameter vector), which costs little and tames stiff
     configurations; the reported result always comes from the final rule.
+    A tabulated density is known on the final rule only, so it skips the
+    coarser levels.
     Raises ValidationFailure when a standing assumption fails; otherwise
     always returns a report (status converged / max_outer_exceeded /
     bracket_exhausted / stalled).
@@ -846,9 +800,10 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
         field = refractor.evaluate_field(state, rule)
         G = field.measures(rule.weights * config.density.values_on(rule), m)
     else:
+        # a tabulated density has values on the configured rule's nodes only
+        first = rule.level if config.density.kind == "table" else max(1, rule.level - 3)
         ladder = [
-            build_quadrature(config.domain, lvl)
-            for lvl in range(max(1, rule.level - 3), rule.level)
+            build_quadrature(config.domain, lvl) for lvl in range(first, rule.level)
         ] + [rule]
         for stage_rule in ladder:
             final = stage_rule is ladder[-1]

@@ -322,6 +322,60 @@ def test_tabulated_density_must_match_rule(tmp_path):
     assert cli.main(["validate", _write(tmp_path, doc)]) == cli.EXIT_VALIDATION
 
 
+def test_tabulated_density_solves_on_the_configured_rule(tmp_path):
+    # the golden config at level 7, dimension 3: 2 * 4^7 = 32768 nodes; the
+    # table has no values on the coarser rules of the quadrature ladder
+    doc = json.loads((DATA / "m2_symmetric.json").read_text())
+    doc["source"]["density"] = {"table": [1.0] * 32768}
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", _write(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["solve"]["status"] == "converged"
+    assert report["weak_certificate"]["ok"] is True
+    assert {s["level"] for s in report["solve"]["sweeps"]} == {7}
+
+
+def _set(path, value):
+    """Config mutation: set the key at `path` (keys and list indices)."""
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("case, named", [
+    (b"{not json", "invalid JSON"),
+    (b"\xff\xfe{", "invalid JSON"),  # not UTF-8
+    (b"[]", "config root"),
+    (_set(["tau"], "1.2"), "'tau'"),
+    (_set(["dimension"], 4), "dimension"),
+    (_set(["source"], "cap"), "source"),
+    (_set(["source", "axis"], [0.0, 1.0]), "source.axis"),
+    (_set(["source", "density"], "gaussian"), "source.density"),
+    (_set(["source", "density"], {"table": []}), "source.density.table"),
+    (_set(["targets"], []), "targets"),
+    (_set(["targets", 0], [0.0, 0.0, 1.0]), "targets[0]"),
+    (_set(["targets", 1, "P"], [0.0, 1.0]), "targets[1].P"),
+    (_set(["quadrature_level"], 0), "quadrature_level"),
+    (_set(["tolerances"], []), "tolerances"),
+    (_set(["seed"], 1.5), "seed"),
+    (_set(["targets", 1, "P"], [0.0, 0.0, 0.0]), "target points"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_schema_refusals_are_parse_errors(tmp_path, capsys, command, case, named):
+    path = tmp_path / "config.json"
+    if isinstance(case, bytes):
+        path.write_bytes(case)
+    else:
+        doc = _config_dict()
+        case(doc)
+        path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == cli.EXIT_PARSE
+    assert named in capsys.readouterr().err
+
+
 def test_canonical_json_17_digits():
     assert cli.canonical_json(1.0 / 3.0) == "0.33333333333333331"
     assert cli.canonical_json({"a": [1, 2.5, True, None, "s"]}) == '{"a":[1,2.5,true,null,"s"]}'

@@ -1,6 +1,7 @@
 """Package hygiene: no module imports a name it never uses, no module-level
-private name goes unread, no dataclass field goes unread, and every function
-the benchmark's span recorder wraps still exists."""
+private name goes unread, no public module-level name or dataclass field goes
+unread, and every function the benchmark's span recorder wraps still
+exists."""
 
 import ast
 import importlib
@@ -54,9 +55,9 @@ def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _private_definitions(source: str) -> list[str]:
-    """Module-level private names (`_x` functions, classes and constants)
-    that a module defines."""
+def _definitions(source: str) -> list[str]:
+    """Module-level names (functions, classes and constants) that a module
+    defines, dunder names excluded."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -65,7 +66,13 @@ def _private_definitions(source: str) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not n.startswith("__")]
+
+
+def _private_definitions(source: str) -> list[str]:
+    """Module-level private names (`_x` functions, classes and constants)
+    that a module defines."""
+    return [n for n in _definitions(source) if n.startswith("_")]
 
 
 def _names_read(source: str) -> set[str]:
@@ -84,6 +91,57 @@ def _dead_private_names(sources: list[str]) -> list[str]:
     none of them."""
     read = set().union(*map(_names_read, sources))
     return [n for src in sources for n in _private_definitions(src) if n not in read]
+
+
+def _unread_public_names(defining: list[str], reading: list[str]) -> list[str]:
+    """Public module-level names defined in `defining` that no source in
+    `reading` reads, counting `Name` loads and what `_attributes_read`
+    counts."""
+    read = set()
+    for src in reading:
+        read |= _attributes_read(src)
+        read |= {
+            n.id for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+    return [
+        n for src in defining for n in _definitions(src)
+        if not n.startswith("_") and n not in read
+    ]
+
+
+def test_the_public_name_guard_sees_unread_public_names():
+    defining = (
+        "__version__ = '1'\n"
+        "LIMIT = 1\n"
+        "UNREAD: int = 2\n"
+        "def helper():\n"
+        "    return LIMIT\n"
+        "def by_getattr():\n"
+        "    pass\n"
+        "def orphan():\n"
+        "    pass\n"
+        "class Kept:\n"
+        "    pass\n"
+        "class Stored:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    reading = (
+        "from . import a\n"
+        "from .a import Kept, orphan\n"
+        "a.Stored = Kept\n"
+        "x = a.helper(), getattr(a, 'by_getattr')\n"
+    )
+    assert _unread_public_names([defining], [defining, reading]) == [
+        "UNREAD", "orphan", "Stored"
+    ]
+
+
+def test_no_unread_public_names():
+    readers = [path.read_text() for path in READERS]
+    assert _unread_public_names([path.read_text() for path in MODULES], readers) == []
 
 
 def test_the_dead_name_guard_sees_unread_private_names():

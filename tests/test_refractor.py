@@ -185,6 +185,19 @@ def test_lipschitz_tiny_cap_flattens():
     assert l_small < 0.1 * l_big  # smooth extremum on the axis
 
 
+def test_lipschitz_two_dimensional_critical_sheet():
+    # in the plane, nodes are consecutive in angle; the |P| = 1, b = 0 sheet
+    # h = 1/(2 cos t) has its steepest slope sin t/(2 cos^2 t) = 1/3 at the
+    # 30-degree rim
+    state = RefractorState(
+        nr.MediumPair(-1.0, 1.0, 0.5),
+        nr.TargetSpec(np.array([[0.0, 1.0]]), np.array([0.1])),
+        np.array([0.0]),
+    )
+    rule = nr.build_quadrature(nr.make_cap([0.0, 1.0], 30 * DEG, 2), 7)
+    assert lipschitz_estimate(state, rule) == pytest.approx(1.0 / 3.0, abs=1e-3)
+
+
 def test_envelope_within_sheet_bounds():
     cfg = symmetric_pair_config(-1.5)
     state = RefractorState(cfg.medium, cfg.targets, np.array([cfg.b1, cfg.b1 * 0.999]))

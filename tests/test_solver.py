@@ -1,4 +1,4 @@
-"""Validation, brackets, initialization, the discrete solve, certificates,
+"""Validation, search ranges, initialization, the discrete solve, certificates,
 the candidate-node coordinate energy, randomized solver invariants, and the
 dyadic refinement driver."""
 
@@ -19,7 +19,6 @@ from negrefractor.solver import (
     DiskPatch,
     RadonProblem,
     ValidationFailure,
-    bracket_b,
     dyadic_atoms,
     init_state,
     refine_radon,
@@ -147,10 +146,18 @@ def test_validate_memory_does_not_scale_with_nodes_times_targets():
 
 
 # ---------------------------------------------------------------------------
-# brackets
+# search ranges
 # ---------------------------------------------------------------------------
 
+def _strong_range(cfg, C1_est):
+    cos_min = float(solver._cosine_minima(cfg.rule(), cfg.targets)[1])
+    return solver._coordinate_range(cfg, 1, C1_est, cos_min)
+
+
 def test_bracket_worked_points():
+    # the radius estimate C1 only decides whether the strong search range
+    # exists: inside (0, |P|) the range does not depend on it, from |P| on
+    # it is refused
     cfg = symmetric_pair_config(-1.5)
     cfg = _replace(
         cfg,
@@ -161,35 +168,22 @@ def test_bracket_worked_points():
         ),
         b1=-1.9,
     )
-    lo, hi = bracket_b(cfg, 1, 0.2)
-    assert lo == pytest.approx(-1.4, abs=1e-14)
-    assert hi == pytest.approx(1.0, abs=1e-12)  # sqrt(3.88) clipped to |P|
-
-    cfgm = symmetric_pair_config(-0.5)
-    cfgm = _replace(
-        cfgm,
-        targets=nr.TargetSpec(
-            np.array([[0.0, 0.0, 1.0], [0.05, 0.0, np.sqrt(1 - 0.0025)]]),
-            np.array([0.2, 0.2]),
-        ),
-        r0=0.3,
-    )
-    lo, hi = bracket_b(cfgm, 1, 0.1)
-    assert lo == pytest.approx(-0.45, abs=1e-14)
-    assert hi == pytest.approx(-0.05, abs=1e-14)
-
-
-def test_bracket_degenerate_radius_limit():
-    cfg = symmetric_pair_config(-1.5)
-    lo, hi = bracket_b(cfg, 1, 1e-12)
     p = float(cfg.targets.norms[1])
-    assert lo == pytest.approx(cfg.medium.kappa * p, abs=1e-9)
+    lo, hi = _strong_range(cfg, 0.2)
+    adm = nr.admissible_b(cfg.targets.points[1], -2.0)
+    assert adm.lo < lo < hi < adm.hi
+    for C1_est in (1e-12, 0.999 * p):
+        assert _strong_range(cfg, C1_est) == (lo, hi)
+    for C1_est in (p, np.nextafter(p, np.inf), 1.5 * p):
+        with pytest.raises(solver.InfeasibleGeometryError):
+            _strong_range(cfg, C1_est)
 
 
 def test_bracket_requires_positive_radius():
     cfg = symmetric_pair_config(-1.5)
-    with pytest.raises(ValueError):
-        bracket_b(cfg, 1, 0.0)
+    for C1_est in (0.0, -1e-12, float("nan")):
+        with pytest.raises(solver.InfeasibleGeometryError):
+            _strong_range(cfg, C1_est)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +311,33 @@ def test_sweep_residuals_mostly_non_increasing():
 
 
 def test_accepted_parameters_stay_in_valid_brackets():
-    # admissibility always; the radius-based bracket's sound upper end too
-    for kappa in (-1.5, -0.5):
+    # admissibility always; the final rule's search range too
+    for kappa in (-1.5, -0.5, -1.0):
         cfg = solvable_config(kappa, 5, seed=79, level=7)
-        sol = solve_discrete(cfg)
+        rule = cfg.rule()
+        sol = solve_discrete(cfg, rule)
         assert sol.converged
+        cos_mins = solver._cosine_minima(rule, cfg.targets)
         for j in range(1, 5):
             adm = nr.admissible_b(cfg.targets.points[j], kappa)
             assert adm.contains(float(sol.b[j]))
-            _, hi = bracket_b(cfg, j, sol.min_rho)
-            assert sol.b[j] <= hi + 1e-12
+            lo, hi = solver._coordinate_range(cfg, j, sol.min_rho, float(cos_mins[j]))
+            assert lo <= sol.b[j] <= hi
+
+
+def test_unreachable_target_ends_bracket_exhausted(monkeypatch):
+    # a range too narrow to reach the target, and one sweep per stage
+    cfg = _replace(symmetric_pair_config(-1.5, level=5), tolerances=solver.Tolerances(max_outer=1))
+    real = solver._coordinate_range
+
+    def narrow(config, j, C1_est, cos_min_j):
+        lo, hi = real(config, j, C1_est, cos_min_j)
+        return lo, lo + 1e-6 * (hi - lo)
+
+    monkeypatch.setattr(solver, "_coordinate_range", narrow)
+    sol = solve_discrete(cfg)
+    assert sol.status == "bracket_exhausted"
+    assert sol.sweeps[-1]["exhausted"] and sol.sweeps[-1]["level"] == 5
 
 
 @pytest.mark.parametrize("kappa", [-1.5, -0.5, -1.0])
@@ -550,6 +561,21 @@ def test_refine_two_levels_feasible_and_conservative():
     assert len(rep.sup_diffs) == 1 and rep.sup_diffs[0] > 0.0
     for row in rep.levels:
         assert abs(row["mass_total"] - prob.patch.total_mass()) <= 1e-12
+
+
+def test_refine_stops_at_the_first_failing_level(monkeypatch):
+    real = solver.solve_discrete
+
+    def stall_at_four_atoms(config, rule):
+        report = real(config, rule)
+        return replace(report, status="stalled") if config.targets.count == 4 else report
+
+    monkeypatch.setattr(solver, "solve_discrete", stall_at_four_atoms)
+    rep = refine_radon(_disk_problem(level=5), levels=3)
+    assert rep.status == "level-2-stalled" and not rep.converged
+    assert [row["atoms"] for row in rep.levels] == [1, 4]
+    assert rep.levels[-1]["status"] == "stalled"
+    assert len(rep.sup_diffs) == 1
 
 
 def test_anchor_must_avoid_cell_boundaries():
