@@ -179,6 +179,17 @@ def test_bracket_worked_points():
             _strong_range(cfg, C1_est)
 
 
+def test_bracket_degenerate_radius_limit():
+    # as C1 -> 0 the strong range still exists, starts at kappa|P| and is
+    # the same range a mid-size estimate gives
+    cfg = symmetric_pair_config(-1.5)
+    p = float(cfg.targets.norms[1])
+    lo, hi = _strong_range(cfg, 1e-12)
+    assert lo == pytest.approx(cfg.medium.kappa * p, abs=1e-9)
+    assert lo < hi
+    assert _strong_range(cfg, 0.5 * p) == (lo, hi)
+
+
 def test_bracket_requires_positive_radius():
     cfg = symmetric_pair_config(-1.5)
     for C1_est in (0.0, -1e-12, float("nan")):
