@@ -124,17 +124,26 @@ def _number(v, key: str):
     return float(v)
 
 
+def _integer(v, key: str, minimum: int | None = None) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or (minimum is not None and v < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(f"key '{key}' must be an integer{at_least}, got {v!r}")
+    return v
+
+
 def load_config(path: str):
     """Parse and validate a config file into a ProblemConfig.
 
     Returns (config, echo) where echo is the deterministic config record for
     the report (including the normalization scale applied to lengths).
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise SchemaError(f"invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config root must be an object")
     _check_keys(
@@ -191,9 +200,7 @@ def load_config(path: str):
     b1 = _number(_need(raw, "b1", "config root"), "b1")
     tau = _number(_need(raw, "tau", "config root"), "tau")
     r0 = _number(_need(raw, "r0", "config root"), "r0")
-    level = _need(raw, "quadrature_level", "config root")
-    if not isinstance(level, int) or isinstance(level, bool) or level < 1:
-        raise SchemaError("quadrature_level must be a positive integer")
+    level = _integer(_need(raw, "quadrature_level", "config root"), "quadrature_level", 1)
 
     tol_raw = raw.get("tolerances", {})
     if not isinstance(tol_raw, dict):
@@ -202,12 +209,10 @@ def load_config(path: str):
     tolerances = Tolerances(
         measure_tol=_number(tol_raw.get("measure_tol", 1e-4), "measure_tol"),
         b_tol=_number(tol_raw.get("b_tol", 1e-10), "b_tol"),
-        max_outer=int(tol_raw.get("max_outer", 200)),
+        max_outer=_integer(tol_raw.get("max_outer", 200), "max_outer", 1),
     )
     # accepted and echoed for compatibility; nothing in a run depends on it
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SchemaError("seed must be an integer")
+    _integer(raw.get("seed", 0), "seed")
 
     # normalization: nearest target distance becomes the length unit
     pts = np.asarray(points, dtype=float)
@@ -282,7 +287,7 @@ def write_trace_csv(traced, rule, path: str) -> None:
     tie nodes.  Any other non-finite value raises ValueError, like
     `_fmt_float`, before anything is written.
     """
-    Z, m_dir, assigned, tie, focus_err, r, t = traced
+    tie = traced.tie
     dim = rule.domain.dim
     cols = (
         [f"x{i}" for i in range(dim)]
@@ -290,9 +295,9 @@ def write_trace_csv(traced, rule, path: str) -> None:
         + [f"m{i}" for i in range(dim)]
         + ["active", "focus_error", "r", "t", "skipped"]
     )
-    ray = np.column_stack([focus_err[np.arange(rule.count), assigned], r, t])
+    ray = np.column_stack([traced.focus_error, traced.r, traced.t])
     ray[tie] = np.nan
-    geo = np.hstack([rule.nodes, Z, m_dir])
+    geo = np.hstack([rule.nodes, traced.z, traced.m])
     ray_ok = ray[~tie]
     bad = np.concatenate([geo[np.isinf(geo)], ray_ok[~np.isfinite(ray_ok)]])
     if bad.size:
@@ -307,7 +312,7 @@ def write_trace_csv(traced, rule, path: str) -> None:
             block = geo[blk]
             cells = np.empty((len(block), n_geo + 5), dtype=object)
             cells[:, :n_geo] = block
-            cells[:, n_geo] = assigned[blk]
+            cells[:, n_geo] = traced.assigned[blk]
             cells[:, n_geo + 1:n_geo + 4] = ray[blk]
             cells[:, -1] = skipped[blk]
             fh.write(row_fmt * len(cells) % tuple(cells.ravel().tolist()))
@@ -327,13 +332,14 @@ def cmd_validate(args) -> int:
 
 
 def _state_from_report(config: ProblemConfig, report_path: str) -> RefractorState:
-    with open(report_path) as fh:
-        try:
+    try:
+        with open(report_path) as fh:
             b = json.load(fh)["report"]["solve"]["b"]
-        except (ValueError, KeyError, TypeError) as exc:  # ValueError: not JSON or not UTF-8
-            raise SchemaError(
-                f"state file {report_path} is not a solve report with report.solve.b: {exc!r}"
-            ) from exc
+    # OSError: unreadable; ValueError: not JSON or not UTF-8
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SchemaError(
+            f"state file {report_path} is not a solve report with report.solve.b: {exc!r}"
+        ) from exc
     return RefractorState(config.medium, config.targets, np.asarray(b, dtype=float))
 
 

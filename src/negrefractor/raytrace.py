@@ -3,10 +3,13 @@
 The audit shares the envelope arrays (rho, assignment, ties) of the measure
 pipeline's `FieldEvaluation`; the rest is independent: each direction is
 refracted with the vector Snell law at the local surface normal and scored by
-the distance from the refracted half-line to each target.  Perfect sheets
-focus exactly, so nonzero focus errors expose bugs; binning ray energy by
-nearest focus must reproduce, bin for bin, the measures, which take each
-node's transmittance from the geometric cosine toward its assigned target.
+the distance from the refracted half-line to each target.  `trace_field`
+reduces those distances where it computes them, a block of rays at a time,
+to the assigned target's error and the nearest target with its error, so no
+(nodes, targets) array is built.  Perfect sheets focus exactly, so nonzero
+focus errors expose bugs; binning ray energy by that nearest focus must
+reproduce, bin for bin, the measures, which take each node's transmittance
+from the geometric cosine toward its assigned target.
 
 Reflected energy is accounted for (f * r per node) but reflected rays are not
 propagated further.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,13 +63,6 @@ class AuditReport:
         }
 
 
-def _focus_error(z: np.ndarray, m: np.ndarray, target: np.ndarray) -> float:
-    """Distance from the half-line {z + s m, s >= 0} to the target point."""
-    rel = target - z
-    s = max(float(rel @ m), 0.0)
-    return float(np.linalg.norm(rel - s * m))
-
-
 def trace_one(state: RefractorState, x) -> TraceResult:
     """Trace a single source direction through the envelope."""
     x = np.asarray(x, dtype=float)
@@ -79,24 +76,37 @@ def trace_one(state: RefractorState, x) -> TraceResult:
     c = float(x @ m)
     r = float(fresnel.reflectance(c, state.medium))
     t = 1.0 - r
-    err = _focus_error(z, m, state.targets.points[j])
+    err = float(_focus_errors(state.targets.points[j][None], z[None], m[None])[0, 0])
     return TraceResult(nu, m, j, err, r, t, False)
 
 
-# Nodes per block of the focus-error step: (_FOCUS_BLOCK, m) float64
-# temporaries instead of (N, m) ones; the values do not depend on it.
+class RayTrace(NamedTuple):
+    """Vectorized trace of a rule's nodes: one row per node in every field."""
+
+    z: np.ndarray              # (N, n) surface points rho(x) x
+    m: np.ndarray              # (N, n) Snell-refracted directions, NaN on ties
+    assigned: np.ndarray       # owning sheet (lowest index on ties)
+    tie: np.ndarray            # True where no unique sheet owns the node
+    focus_error: np.ndarray    # distance to the assigned target, NaN on ties
+    r: np.ndarray              # reflectance at the Snell cosine (ties: geometric)
+    t: np.ndarray              # 1 - r
+    nearest: np.ndarray        # target of least focus error (ties: assigned)
+    nearest_error: np.ndarray  # that least focus error, NaN on ties
+
+
+# Rays per block of the trace: (_FOCUS_BLOCK, m) float64 temporaries
+# instead of (N, m) ones; the values do not depend on it.
 _FOCUS_BLOCK = 4096
 
 
-def _focus_errors(points: np.ndarray, Z: np.ndarray, m_ok: np.ndarray,
-                  m_dir: np.ndarray) -> np.ndarray:
+def _focus_errors(points: np.ndarray, Z: np.ndarray, m_dir: np.ndarray) -> np.ndarray:
     """(n, m) distances from the half-lines {Z + s m_dir, s >= 0} to every
-    target, summed component by component; m_ok is m_dir with tie rows zeroed.
-    Elementwise per node, so any split of the nodes gives the same bits."""
+    target, summed component by component.  Elementwise per ray, so any
+    split of the rays gives the same bits."""
     rel = [points[None, :, k] - Z[:, k, None] for k in range(Z.shape[1])]
-    s = rel[0] * m_ok[:, :1]
+    s = rel[0] * m_dir[:, :1]
     for k in range(1, len(rel)):
-        s += rel[k] * m_ok[:, k:k + 1]
+        s += rel[k] * m_dir[:, k:k + 1]
     np.maximum(s, 0.0, out=s)
     sq = np.zeros_like(s)
     for k, rel_k in enumerate(rel):
@@ -106,44 +116,52 @@ def _focus_errors(points: np.ndarray, Z: np.ndarray, m_ok: np.ndarray,
     return np.sqrt(sq, out=sq)
 
 
-def trace_field(state: RefractorState, rule: QuadratureRule, field: FieldEvaluation):
-    """Vectorized trace of every quadrature node, where `field` is
+def _refract_rows(X: np.ndarray, Z: np.ndarray, P: np.ndarray, kappa: float) -> np.ndarray:
+    """Snell-refracted rows at Z = rho X on the sheets that focus X at P."""
+    mhat = P - Z
+    mhat /= detmath.norm_rows(mhat)[:, None]
+    nu = X - kappa * mhat
+    nu /= detmath.norm_rows(nu)[:, None]
+    lam = fresnel.phi(detmath.dot_rows(X, nu), kappa)
+    return (X - lam[:, None] * nu) / kappa
+
+
+def trace_field(state: RefractorState, rule: QuadratureRule, field: FieldEvaluation) -> RayTrace:
+    """Trace every quadrature node, where `field` is
     `refractor.evaluate_field(state, rule)`.
 
-    Returns (z, m, assigned, tie, focus_err (N, m_targets), r, t) where m is
-    the Snell-refracted direction of the assigned sheet (NaN on ties).
+    Non-tie nodes are refracted with the vector Snell law at the assigned
+    sheet's normal and reduced, a block of rays at a time, to their focus
+    errors; tie nodes get only the assigned sheet's geometric cosine.
     """
     X = rule.nodes
     assigned, tie = field.assigned, field.tie
     Z = field.rho[:, None] * X
-    kappa = state.medium.kappa
+    points = state.targets.points
+    # each ray, in blocks of rays so the (block, m) temporaries stay small:
+    # its Snell direction, and its distance to every target reduced to the
+    # assigned target's error and the nearest target's
+    rays = np.flatnonzero(~tie)
     m_dir = np.full_like(X, np.nan)
-    ok = ~tie
-    for j in range(state.targets.count):
-        mask = ok & (assigned == j)
-        if not np.any(mask):
-            continue
-        to_focus = state.targets.points[j][None, :] - Z[mask]
-        mhat = to_focus / detmath.norm_rows(to_focus)[:, None]
-        nu = X[mask] - kappa * mhat
-        nu /= detmath.norm_rows(nu)[:, None]
-        lam = fresnel.phi(detmath.dot_rows(X[mask], nu), kappa)
-        m_dir[mask] = (X[mask] - lam[:, None] * nu) / kappa
+    focus_error = np.full(rule.count, np.nan)
+    nearest = assigned.copy()
+    nearest_error = np.full(rule.count, np.nan)
+    for lo in range(0, rays.size, _FOCUS_BLOCK):
+        at = rays[lo:lo + _FOCUS_BLOCK]
+        owner = assigned[at]
+        m_dir[at] = m = _refract_rows(X[at], Z[at], points[owner], state.medium.kappa)
+        err = _focus_errors(points, Z[at], m)
+        row = np.arange(at.size)
+        focus_error[at] = err[row, owner]
+        nearest[at] = np.nanargmin(err, axis=1)
+        nearest_error[at] = err[row, nearest[at]]
 
-    # distance from each refracted half-line to every target, in blocks of
-    # nodes so the (block, m) temporaries stay small
-    m_ok = np.where(ok[:, None], m_dir, 0.0)
-    focus_err = np.empty((rule.count, state.targets.count))
-    for lo in range(0, rule.count, _FOCUS_BLOCK):
-        blk = slice(lo, lo + _FOCUS_BLOCK)
-        focus_err[blk] = _focus_errors(state.targets.points, Z[blk], m_ok[blk], m_dir[blk])
-    focus_err[tie] = np.nan
-
-    c = detmath.dot_rows(X, m_ok)
-    r = np.zeros(rule.count)
-    r[ok] = fresnel.reflectance(c[ok], state.medium)
-    t = 1.0 - r
-    return Z, m_dir, assigned, tie, focus_err, r, t
+    # rays transmit at their Snell cosine, ties at the assigned sheet's
+    # geometric one, as in the measures
+    c = detmath.dot_rows(X, m_dir)
+    c[tie] = refractor.refraction_cosines(state, X[tie], detmath.norm_rows(Z[tie]), assigned[tie])
+    r = fresnel.reflectance(c, state.medium)
+    return RayTrace(Z, m_dir, assigned, tie, focus_error, r, 1.0 - r, nearest, nearest_error)
 
 
 # Diagnostic threshold: a ray "misses" when even its best focus error exceeds
@@ -156,7 +174,7 @@ def energy_audit(
     rule: QuadratureRule,
     density: EmissionDensity,
     field: FieldEvaluation,
-    traced: tuple,
+    traced: RayTrace,
 ) -> AuditReport:
     """Bin ray energy by nearest focus and reconcile with the measures.
 
@@ -164,49 +182,22 @@ def energy_audit(
     gives the measures, and `traced` is `trace_field(state, rule, field)`.
     Tie nodes cannot be traced (no unique normal); their energy is assigned
     by the same lowest-index rule the measures use, so the two ledgers stay
-    comparable.  Non-tie rays are binned by minimal focus error.
+    comparable.  Non-tie rays are binned by their nearest focus
+    (`traced.nearest`).
     """
-    Z, m_dir, assigned, tie, focus_err, r, t = traced
-    fvals = density.values_on(rule)
-    w = rule.weights
-    ok = ~tie
-
-    # nearest focus of each non-tie ray, in blocks of rows so no (N, m)
-    # copy of the focus errors is made
-    bins = assigned.copy()
-    rays = np.flatnonzero(ok)
-    best_err = np.empty(rays.size)
-    for lo in range(0, rays.size, _FOCUS_BLOCK):
-        rows = rays[lo:lo + _FOCUS_BLOCK]
-        best = np.nanargmin(focus_err[rows], axis=1)
-        bins[rows] = best
-        best_err[lo:lo + _FOCUS_BLOCK] = focus_err[rows, best]
-
-    # tie nodes transmit with the assigned sheet's geometric cosine
-    t_full = t.copy()
-    r_full = r.copy()
-    if np.any(tie):
-        c_tie = refractor.refraction_cosines(
-            state, rule.nodes[tie], detmath.norm_rows(Z[tie]), assigned[tie]
-        )
-        r_tie = fresnel.reflectance(c_tie, state.medium)
-        r_full[tie] = r_tie
-        t_full[tie] = 1.0 - r_tie
-
-    transported = np.bincount(
-        bins, weights=w * fvals * t_full, minlength=state.targets.count
-    )
-    reflected = math.fsum(w * fvals * r_full)
-    incident = math.fsum(w * fvals)
-    measures = field.measures(w * fvals, state.targets.count)
+    wf = rule.weights * density.values_on(rule)
+    best_err = traced.nearest_error[~traced.tie]
+    transported = np.bincount(traced.nearest, weights=wf * traced.t,
+                              minlength=state.targets.count)
+    measures = field.measures(wf, state.targets.count)
     scale = max(float(state.targets.norms.min()), 1e-300)
     return AuditReport(
         per_target=transported,
-        reflected=reflected,
-        incident=incident,
-        skipped_fraction=float(np.sum(tie)) / rule.count,
+        reflected=math.fsum(wf * traced.r),
+        incident=math.fsum(wf),
+        skipped_fraction=float(np.sum(traced.tie)) / rule.count,
         measures=measures,
         max_discrepancy=float(np.max(np.abs(transported - measures))),
-        max_focus_error=float(best_err.max()) if best_err.size else 0.0,
-        miss_count=int(np.sum(best_err > MISS_FRACTION * scale)) if best_err.size else 0,
+        max_focus_error=float(best_err.max(initial=0.0)),
+        miss_count=int(np.sum(best_err > MISS_FRACTION * scale)),
     )

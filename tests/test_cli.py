@@ -259,11 +259,14 @@ def test_fresnel_table_is_lossless_at_kappa_minus_one(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["trace", "export"])
-@pytest.mark.parametrize("state", [b'{"report": {"solve": {}}}', b"{not json", b"\xff\xfe{}"])
+@pytest.mark.parametrize("state", [b'{"report": {"solve": {}}}', b"{not json", b"\xff\xfe{}", None])
 def test_malformed_state_file_is_a_schema_error(tmp_path, capsys, command, state):
     cfgp = _write(tmp_path, _config_dict())
     statep = tmp_path / "state.json"
-    statep.write_bytes(state)
+    if state is None:  # a directory
+        statep.mkdir()
+    else:
+        statep.write_bytes(state)
     outputs = {"trace": ["--out-csv", str(tmp_path / "rays.csv")],
                "export": ["--out", str(tmp_path / "surface.obj")]}[command]
     code = cli.main([command, cfgp, "--state", str(statep), *outputs])
@@ -363,10 +366,14 @@ def _set(path, value):
     (_set(["tolerances"], []), "tolerances"),
     (_set(["seed"], 1.5), "seed"),
     (_set(["targets", 1, "P"], [0.0, 0.0, 0.0]), "target points"),
+    *[(_set(["tolerances", "max_outer"], v), "max_outer") for v in ("x", None, 2.5, True, -3, 0)],
+    (None, "cannot read config"),  # a directory
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_schema_refusals_are_parse_errors(tmp_path, capsys, command, case, named):
     path = tmp_path / "config.json"
-    if isinstance(case, bytes):
+    if case is None:
+        path.mkdir()
+    elif isinstance(case, bytes):
         path.write_bytes(case)
     else:
         doc = _config_dict()
@@ -388,7 +395,7 @@ def test_canonical_json_17_digits():
 def _reference_trace_csv(field, rule, path):
     """One `_fmt_float` call per cell, row by row: the writer the block
     writer must reproduce byte for byte."""
-    Z, m_dir, assigned, tie, focus_err, r, t = field
+    Z, m_dir, assigned, tie = field.z, field.m, field.assigned, field.tie
     dim = rule.domain.dim
     cols = (
         [f"x{i}" for i in range(dim)]
@@ -397,19 +404,14 @@ def _reference_trace_csv(field, rule, path):
         + ["active", "focus_error", "r", "t", "skipped"]
     )
     ok = ~tie
-    best_err = np.full(rule.count, np.nan)
-    if np.any(ok):
-        idx = np.nonzero(ok)[0]
-        best_err[idx] = focus_err[idx, assigned[idx]]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for i in range(rule.count):
             row = list(rule.nodes[i]) + list(Z[i]) + list(m_dir[i])
             vals = [(cli._fmt_float(v) if v == v else "nan") for v in row]
             vals.append(str(int(assigned[i])))
-            vals.append(cli._fmt_float(best_err[i]) if ok[i] else "nan")
-            vals.append(cli._fmt_float(r[i]) if ok[i] else "nan")
-            vals.append(cli._fmt_float(t[i]) if ok[i] else "nan")
+            for v in (field.focus_error[i], field.r[i], field.t[i]):
+                vals.append(cli._fmt_float(v) if ok[i] else "nan")
             vals.append("true" if tie[i] else "false")
             fh.write(",".join(vals) + "\n")
 
@@ -446,25 +448,24 @@ def test_trace_csv_matches_per_row_reference(tmp_path, monkeypatch, name):
         assert out.read_bytes() == text, block
 
 
-def _injected(field, k, i, value):
-    arrays = [a.copy() for a in field]
-    arrays[k][i] = value
-    return tuple(arrays)
+def _injected(field, name, i, value):
+    array = getattr(field, name).copy()
+    array[i] = value
+    return field._replace(**{name: array})
 
 
 def test_trace_csv_refuses_non_finite_values(tmp_path):
     state, rule = _csv_case("mixed_ties", tmp_path)
     field = raytrace.trace_field(state, rule, refractor.evaluate_field(state, rule))
-    tie = field[3]
+    tie = field.tie
     i = int(np.argmin(tie))  # a traced node
     assert tie.any() and not tie[i]
     out = str(tmp_path / "rays.csv")
-    Z, r = 0, 5
     for bad in (
-        _injected(field, Z, (i, 1), np.inf),
-        _injected(field, Z, (i, 2), -np.inf),
-        _injected(field, r, i, np.nan),
-        _injected(field, r, i, np.inf),
+        _injected(field, "z", (i, 1), np.inf),
+        _injected(field, "z", (i, 2), -np.inf),
+        _injected(field, "r", i, np.nan),
+        _injected(field, "r", i, np.inf),
     ):
         with pytest.raises(ValueError, match="non-finite"):
             cli.write_trace_csv(bad, rule, out)
@@ -472,7 +473,7 @@ def test_trace_csv_refuses_non_finite_values(tmp_path):
             _reference_trace_csv(bad, rule, out)
     # NaN geometry is written as nan, and a tie node's r is never written
     j = int(np.argmax(tie))
-    for fine in (_injected(field, Z, (i, 0), np.nan), _injected(field, r, j, np.inf)):
+    for fine in (_injected(field, "z", (i, 0), np.nan), _injected(field, "r", j, np.inf)):
         cli.write_trace_csv(fine, rule, out)
         text = Path(out).read_bytes()
         _reference_trace_csv(fine, rule, out)
@@ -515,8 +516,8 @@ def test_trace_with_non_finite_values_is_a_validation_error(tmp_path, monkeypatc
 
     def poisoned(state, rule, field):
         traced = trace_field(state, rule, field)
-        i = int(np.argmin(traced[3]))
-        return _injected(traced, 5, i, np.nan)
+        i = int(np.argmin(traced.tie))
+        return _injected(traced, "r", i, np.nan)
 
     monkeypatch.setattr(cli, "trace_field", poisoned)
     assert cli.main(_trace_argv(solved_report, tmp_path)) == cli.EXIT_VALIDATION

@@ -76,16 +76,14 @@ def test_trace_field_matches_trace_one():
     cfg = symmetric_pair_config(-1.5, level=4)
     state = RefractorState(cfg.medium, cfg.targets, np.array([cfg.b1, cfg.b1 * 0.999]))
     rule = cfg.rule()
-    Z, m_dir, assigned, tie, focus_err, r, t = trace_field(state, rule, evaluate_field(state, rule))
+    traced = trace_field(state, rule, evaluate_field(state, rule))
     for i in range(0, rule.count, 37):
         one = trace_one(state, rule.nodes[i])
-        assert one.active == assigned[i]
+        assert one.active == traced.assigned[i]
         if not one.skipped:
-            assert np.allclose(one.m, m_dir[i], atol=1e-13)
-            assert one.focus_error == pytest.approx(
-                focus_err[i, assigned[i]], abs=1e-13
-            )
-            assert one.r == pytest.approx(r[i], abs=1e-14)
+            assert np.allclose(one.m, traced.m[i], atol=1e-13)
+            assert one.focus_error == pytest.approx(traced.focus_error[i], abs=1e-13)
+            assert one.r == pytest.approx(traced.r[i], abs=1e-14)
 
 
 def test_audit_with_ties_still_balances():
@@ -99,8 +97,10 @@ def test_audit_with_ties_still_balances():
 
 
 def _reference_trace_field(state, rule):
-    """`trace_field` with the focus-error step over all nodes at once: the
-    whole-array computation the node blocks must reproduce bit for bit."""
+    """`trace_field` with one masked Snell pass per target and the focus
+    errors of all nodes to all targets as one (N, m) matrix, reduced
+    afterwards: the whole-array computation the ray blocks must reproduce
+    bit for bit."""
     X = rule.nodes
     H = sheet_radii(state, X)
     rho, assigned, tie = assign_envelope(H, state.regime)
@@ -133,12 +133,27 @@ def _reference_trace_field(state, rule):
     focus_err = np.full((rule.count, state.targets.count), np.nan)
     focus_err[ok] = np.sqrt(sq[ok])
 
+    idx = np.arange(rule.count)
+    nearest = assigned.copy()
+    nearest_error = np.full(rule.count, np.nan)
+    if np.any(ok):
+        nearest[ok] = np.nanargmin(focus_err[ok], axis=1)
+        nearest_error[ok] = focus_err[idx[ok], nearest[ok]]
+
+    # rays reflect at the Snell cosine, ties at the assigned sheet's
+    # geometric cosine
     c = detmath.dot_rows(X, m_ok)
     r = np.zeros(rule.count)
     if state.medium.regime is not ovals.Regime.CRITICAL:
         r[ok] = np.asarray(fresnel.reflectance(c[ok], state.medium))
-    t = 1.0 - r
-    return Z, m_dir, assigned, tie, focus_err, r, t
+        if np.any(tie):
+            c_tie = refractor.refraction_cosines(
+                state, X[tie], detmath.norm_rows(Z[tie]), assigned[tie]
+            )
+            r[tie] = np.asarray(fresnel.reflectance(c_tie, state.medium), dtype=float)
+    return raytrace.RayTrace(
+        Z, m_dir, assigned, tie, focus_err[idx, assigned], r, 1.0 - r, nearest, nearest_error
+    )
 
 
 def _blocked_trace_cases():
@@ -162,43 +177,32 @@ def test_blocked_trace_field_matches_whole_array_reference(monkeypatch, block):
         assert rule.count % block, (name, rule.count, block)
         ref = _reference_trace_field(state, rule)
         got = trace_field(state, rule, evaluate_field(state, rule))
-        assert len(got) == len(ref) == 7
-        for k, (a, b) in enumerate(zip(got, ref)):
-            assert a.dtype == b.dtype and a.shape == b.shape, (name, k)
-            assert np.array_equal(a, b, equal_nan=True), (name, k)
+        assert type(got) is raytrace.RayTrace
+        for field, a, b in zip(raytrace.RayTrace._fields, got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, field)
+            assert a.shape[0] == rule.count, (name, field)
+            assert np.array_equal(a, b, equal_nan=True), (name, field)
         if name == "mixed_ties":
-            assert got[4].shape[1] == 3 and 0 < got[3].sum() < rule.count
+            assert 0 < got.tie.sum() < rule.count
+            assert np.array_equal(got.nearest[got.tie], got.assigned[got.tie])
 
 
 def _reference_audit(state, rule, density):
-    """`energy_audit` with the nearest-focus arg-min taken over all non-tie
-    rows at once, on the whole-array trace with its own envelope: the
-    computation the row blocks must reproduce."""
-    Z, m_dir, assigned, tie, focus_err, r, t = _reference_trace_field(state, rule)
+    """`energy_audit` on the whole-array trace with its own envelope and its
+    own measures: the computation the ray blocks must reproduce."""
+    traced = _reference_trace_field(state, rule)
     fvals = density.values_on(rule)
     w = rule.weights
-    ok = ~tie
-    bins = assigned.copy()
-    best = np.nanargmin(focus_err[ok], axis=1) if np.any(ok) else np.empty(0, int)
-    bins[ok] = best
-    best_err = focus_err[ok, best] if np.any(ok) else np.empty(0)
-    t_full = t.copy()
-    r_full = r.copy()
-    if np.any(tie):
-        c_tie = refractor.refraction_cosines(
-            state, rule.nodes[tie], detmath.norm_rows(Z[tie]), assigned[tie]
-        )
-        r_tie = np.asarray(fresnel.reflectance(c_tie, state.medium), dtype=float)
-        r_full[tie] = r_tie
-        t_full[tie] = 1.0 - r_tie
-    transported = np.bincount(bins, weights=w * fvals * t_full, minlength=state.targets.count)
+    best_err = traced.nearest_error[~traced.tie]
+    transported = np.bincount(traced.nearest, weights=w * fvals * traced.t,
+                              minlength=state.targets.count)
     measures = refractor.measures(state, rule, density)
     scale = max(float(state.targets.norms.min()), 1e-300)
     return raytrace.AuditReport(
         per_target=transported,
-        reflected=math.fsum(w * fvals * r_full),
+        reflected=math.fsum(w * fvals * traced.r),
         incident=math.fsum(w * fvals),
-        skipped_fraction=float(np.sum(tie)) / rule.count,
+        skipped_fraction=float(np.sum(traced.tie)) / rule.count,
         measures=measures,
         max_discrepancy=float(np.max(np.abs(transported - measures))),
         max_focus_error=float(best_err.max()) if best_err.size else 0.0,

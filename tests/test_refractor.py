@@ -117,8 +117,8 @@ def test_transmission_matches_snell_path():
         state = RefractorState(cfg.medium, cfg.targets, np.array([cfg.b1, cfg.b1]))
         rule = cfg.rule()
         fe = evaluate_field(state, rule)
-        _, _, assigned, tie, _, _, t = trace_field(state, rule, fe)
-        ok = ~tie
+        traced = trace_field(state, rule, fe)
+        assigned, ok, t = traced.assigned, ~traced.tie, traced.t
         assert np.count_nonzero(ok) > 0.9 * rule.count
         assert set(np.unique(assigned[ok])) == {0, 1}
         assert np.allclose(fe.transmittance[ok], t[ok], rtol=0.0, atol=1e-12)

@@ -123,16 +123,21 @@ def test_validate_sigma_critical_warning():
     assert rep.passed
 
 
-def test_validate_memory_does_not_scale_with_nodes_times_targets():
-    # the 60 atoms of refine_radon's level 4 on criterion 9's patch, at
-    # quadrature level 7: one (m, N) float64 array would be 15.7 MB
-    prob = _disk_problem(level=7)
+def _atoms_config(level):
+    """The 60 atoms of refine_radon's level 4 on criterion 9's patch, as a
+    discrete problem at the given quadrature level."""
+    prob = _disk_problem(level=level)
     points, masses, _, _ = dyadic_atoms(prob.patch, 4)
-    cfg = solver.ProblemConfig(
+    return solver.ProblemConfig(
         domain=prob.domain, density=prob.density, medium=prob.medium,
         margin=prob.margin, targets=nr.TargetSpec(points, masses), b1=prob.b1,
-        tau=prob.tau, r0=prob.r0, quadrature_level=7, tolerances=prob.tolerances,
+        tau=prob.tau, r0=prob.r0, quadrature_level=level, tolerances=prob.tolerances,
     )
+
+
+def test_validate_memory_does_not_scale_with_nodes_times_targets():
+    # at quadrature level 7 one (m, N) float64 array would be 15.7 MB
+    cfg = _atoms_config(7)
     rule = cfg.rule()
     assert (cfg.targets.count, rule.count) == (60, 32768)
     validate(cfg, rule)
@@ -143,6 +148,24 @@ def test_validate_memory_does_not_scale_with_nodes_times_targets():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+def test_trace_memory_does_not_scale_with_nodes_times_targets():
+    # at quadrature level 8 one (N, m) float64 array would be 60 MiB; the
+    # trace and audit of the parked state must peak below three quarters
+    # of it
+    cfg = _atoms_config(8)
+    rule = cfg.rule()
+    assert (cfg.targets.count, rule.count) == (60, 131072)
+    state = init_state(cfg, rule)
+    field = refractor.evaluate_field(state, rule)
+    tracemalloc.start()
+    try:
+        energy_audit(state, rule, cfg.density, field, trace_field(state, rule, field))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
