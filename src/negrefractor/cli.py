@@ -37,7 +37,7 @@ EXIT_INTERNAL = 5
 
 
 class SchemaError(ValueError):
-    """Config file violates the strict schema."""
+    """An input violates the strict schema, or a path cannot be used."""
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +243,21 @@ def load_config(path: str):
 # exports
 # ---------------------------------------------------------------------------
 
+def _open_output(path: str):
+    """Open an output file; a path that cannot be written is a usage error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise SchemaError(f"cannot write output {path}: {exc.strerror}") from exc
+
+
 def export_surface(rho: np.ndarray, rule, path: str, fmt: str) -> None:
     """Write the envelope surface rho(x) x: OBJ triangle mesh (n=3) or CSV polyline (n=2)."""
     if fmt == "csv":
         if rule.domain.dim != 2:
             raise ValueError("csv polyline export is for 2-D surfaces")
         angles = np.arctan2(rule.nodes[:, 1], rule.nodes[:, 0])
-        with open(path, "w") as fh:
+        with _open_output(path) as fh:
             fh.write("angle,rho\n")
             for a, r in zip(angles, rho):
                 fh.write(f"{_fmt_float(a)},{_fmt_float(r)}\n")
@@ -271,7 +279,7 @@ def export_surface(rho: np.ndarray, rule, path: str, fmt: str) -> None:
             d = (i + 1) * n_az + (k + 1) % n_az + 1
             lines.append(f"f {a} {b} {d}")
             lines.append(f"f {a} {d} {c}")
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -305,7 +313,7 @@ def write_trace_csv(traced, rule, path: str) -> None:
     n_geo = geo.shape[1]
     row_fmt = ",".join(["%.17g"] * n_geo + ["%d"] + ["%.17g"] * 3 + ["%s"]) + "\n"
     skipped = np.where(tie, "true", "false")
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write(",".join(cols) + "\n")
         for lo in range(0, rule.count, _CSV_BLOCK):
             blk = slice(lo, lo + _CSV_BLOCK)
@@ -345,7 +353,7 @@ def _state_from_report(config: ProblemConfig, report_path: str) -> RefractorStat
 
 def _write_or_print(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
+        with _open_output(out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -478,7 +486,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (SchemaError, FileNotFoundError) as exc:
+    except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationFailure as exc:

@@ -106,31 +106,15 @@ def refract(x, nu, kappa: float) -> np.ndarray:
 
 
 def p_coefficient(c, medium: MediumPair):
-    """Parallel-polarization amplitude ratio p(c)."""
-    c = np.asarray(c, dtype=float)
+    """Parallel-polarization amplitude ratio p(c), for a float or an array c."""
     k, s = medium.kappa, medium.sigma
     return (s + k - (1.0 + k * s) * c) / (s - k + (1.0 - k * s) * c)
 
 
 def q_coefficient(c, medium: MediumPair):
-    """Perpendicular-polarization amplitude ratio q(c)."""
-    c = np.asarray(c, dtype=float)
+    """Perpendicular-polarization amplitude ratio q(c), for a float or an array c."""
     k, s = medium.kappa, medium.sigma
     return (1.0 + k * s - (s + k) * c) / (1.0 - k * s + (s - k) * c)
-
-
-def _check_window(c, medium: MediumPair, margin: AdmissibilityMargin | None):
-    if margin is not None:
-        t_min, _ = margin.window(medium.kappa)
-    else:
-        t_min = medium.regime.window_floor(medium.kappa)
-    c = np.asarray(c, dtype=float)
-    # 1e-12 slack: rim-tangent rays land on the window edge up to roundoff
-    if np.any(c < t_min - 1e-12) or np.any(c > 1.0 + 1e-12):
-        raise InadmissibleIncidenceError(
-            f"refraction cosine outside [{t_min}, 1]: "
-            f"range [{c.min()}, {c.max()}]"
-        )
 
 
 def reflectance(c, medium: MediumPair, margin: AdmissibilityMargin | None = None):
@@ -144,7 +128,16 @@ def reflectance(c, medium: MediumPair, margin: AdmissibilityMargin | None = None
     """
     if medium.regime.lossless:
         return np.zeros_like(c, dtype=float)
-    _check_window(c, medium, margin)
+    kappa = medium.kappa
+    t_min = medium.regime.window_floor(kappa) if margin is None else margin.window(kappa)[0]
+    # 1e-12 slack: rim-tangent rays land on the window edge up to roundoff;
+    # fmin / fmax skip NaN entries, which fail every comparison
+    lo = np.fmin.reduce(c, axis=None, initial=np.inf)
+    hi = np.fmax.reduce(c, axis=None, initial=-np.inf)
+    if lo < t_min - 1e-12 or hi > 1.0 + 1e-12:
+        raise InadmissibleIncidenceError(
+            f"refraction cosine outside [{t_min}, 1]: range [{lo}, {hi}]"
+        )
     p = p_coefficient(c, medium)
     q = q_coefficient(c, medium)
     return medium.alpha * p * p + medium.beta * q * q
@@ -152,8 +145,7 @@ def reflectance(c, medium: MediumPair, margin: AdmissibilityMargin | None = None
 
 def transmittance(c, medium: MediumPair):
     """Transmitted energy fraction t = 1 - r (energy conservation)."""
-    r = reflectance(c, medium)
-    return 1.0 - r
+    return 1.0 - reflectance(c, medium)
 
 
 def reflectance_bound(medium: MediumPair, margin: AdmissibilityMargin) -> float:

@@ -141,36 +141,48 @@ def radii(kappa: float, focus: np.ndarray, b: float, X: np.ndarray):
 
 
 def radii_from_dots(kappa: float, p2: float, b: float, dots: np.ndarray):
-    """radii() with the node-focus dot products precomputed (solver hot path)."""
-    k2 = kappa * kappa
+    """radii() from precomputed dots x . P: radius (NaN off the support), mask."""
     reg = regime_of(kappa)
-    if reg is Regime.STRONG:
-        u = k2 * dots - b
-        disc = u * u - (k2 - 1.0) * (k2 * p2 - b * b)
-        scale = np.maximum(u * u, (k2 - 1.0) * abs(k2 * p2 - b * b))
-        ok = (disc >= -DISC_SLACK * scale) & (u > 0.0)
-        disc = np.where(ok, np.maximum(disc, 0.0), np.nan)
-        h = (u - np.sqrt(disc)) / (k2 - 1.0)
-        return h, ok
-    if reg is Regime.MILD:
-        ok = dots >= b
-        v = b - k2 * dots
-        disc = v * v - (1.0 - k2) * (b * b - k2 * p2)
-        scale = np.maximum(v * v, (1.0 - k2) * abs(b * b - k2 * p2))
-        ok &= disc >= -DISC_SLACK * scale
-        disc = np.where(ok, np.maximum(disc, 0.0), np.nan)
-        h = (v + np.sqrt(disc)) / (1.0 - k2)
-        return h, ok
-    denom = b - dots
-    ok = denom < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(ok, (b * b - p2) / (2.0 * denom), np.nan)
-    return h, ok
+    ok = support_from_dots(reg, kappa, p2, b, dots)
+    on = dots if ok.all() else np.where(ok, dots, np.nan)
+    return radius_from_dots(reg, kappa, p2, b, on), ok
 
 
-def support_decided_by_extremes(kappa: float, p2: float, b: float, d_max: float) -> bool:
-    """Whether radii_from_dots' support mask over dot products d <= d_max is
-    all true exactly when it is true at the smallest and the largest d.
+def support_from_dots(regime: Regime, kappa: float, p2: float, b: float, dots):
+    """Whether the sheet is supported at node-focus dot products d = x . P:
+    a bool for a float d, a bool array for an array, with the same bits.
+
+    Strong and mild: h solves (k^2 - 1) h^2 - 2 u h + k^2 p2 - b^2 = 0 with
+    u = k^2 d - b and discriminant u^2 - c, c = (k^2 - 1)(k^2 p2 - b^2).  It
+    may fall below zero by DISC_SLACK max(u^2, |c|); where u^2 is the larger
+    it is >= 0 anyway (rounding is monotone), so the slack is DISC_SLACK |c|.
+    """
+    if regime is Regime.CRITICAL:
+        return b - dots < 0.0
+    k2 = kappa * kappa
+    u = k2 * dots - b
+    c = (k2 - 1.0) * (k2 * p2 - b * b)
+    inside = u > 0.0 if regime is Regime.STRONG else dots >= b
+    return inside & (u * u - c >= -DISC_SLACK * abs(c))
+
+
+def radius_from_dots(regime: Regime, kappa: float, p2: float, b: float, dots):
+    """Polar radius h at dot products d = x . P; meaningful only where
+    support_from_dots holds: the smaller root (strong), the larger (mild)."""
+    if regime is Regime.CRITICAL:
+        return (b * b - p2) / (2.0 * (b - dots))
+    k2 = kappa * kappa
+    u = k2 * dots - b
+    root = np.sqrt(np.maximum(u * u - (k2 - 1.0) * (k2 * p2 - b * b), 0.0))
+    if regime is Regime.STRONG:
+        return (u - root) / (k2 - 1.0)
+    return (root - u) / (1.0 - k2)
+
+
+def support_decided_by_extremes(regime: Regime, kappa: float, p2: float, b: float,
+                                d_max: float) -> bool:
+    """Whether support_from_dots over dot products d <= d_max is all true
+    exactly when it is true at the smallest and the largest d.
 
     Rounding is monotone, so each computed test below is monotone in its
     input.  Strong: u = k^2 d - b grows with d, and the clip test is monotone
@@ -183,7 +195,7 @@ def support_decided_by_extremes(kappa: float, p2: float, b: float, d_max: float)
     v < 0 at d_max and a positive constant term (outside every search range
     in practice) needs the full mask.
     """
-    if regime_of(kappa) is not Regime.MILD:
+    if regime is not Regime.MILD:
         return True
     k2 = kappa * kappa
     return (1.0 - k2) * (b * b - k2 * p2) <= 0.0 or b - k2 * d_max >= 0.0

@@ -23,7 +23,7 @@ import numpy as np
 from . import detmath, fresnel, ovals, refractor
 from .fresnel import AdmissibilityMargin, MediumPair
 from .geometry import QuadratureRule, SourceDomain, _orthonormal_frame, build_quadrature, unit
-from .ovals import Regime
+from .ovals import Regime, support_from_dots
 from .refractor import (
     TIE_TOL,
     ConfigurationError,
@@ -492,12 +492,15 @@ class _CoordinateWorkspace:
     at a rim-tangent ray), and far below the spread of the switch values, so
     it adds next to no nodes.  The owned nodes, their radii and their
     Fresnel terms are computed elementwise from the same values, in node
-    order, so np.sum sees the same array and returns the same bits.
+    order, so the sum sees the same array and returns the same bits.
 
-    Support.  `radii_from_dots` decides support from d = x . P alone, and its
-    computed mask holds on an interval of d (see
-    `ovals.support_decided_by_extremes`), so the nodes with the smallest and
-    the largest d decide whether the sheet is supported on every node.
+    Support.  `ovals.support_from_dots` decides support from d = x . P alone,
+    and its computed mask holds on an interval of d (see
+    `ovals.support_decided_by_extremes`), so each probe tests it once, on the
+    smallest and the largest d as Python floats; a mild sheet that these two
+    cannot decide is tested on the full mask.  The candidates' radii then
+    come from `ovals.radius_from_dots` without a mask, and the Fresnel window
+    check runs on the owned nodes' cosines only: every other node's term is 0.
 
     Early decisions.  A bisection only asks whether G_j(b) reaches a target
     (`at_least`).  Every term w f t is >= 0, and a float sum of n >= 0 terms,
@@ -523,7 +526,7 @@ class _CoordinateWorkspace:
         self.wf = wf  # weights * density values
         self.reach = np.cumsum(wf)
         self.kappa = config.medium.kappa
-        regime = config.medium.regime
+        self.regime = regime = config.medium.regime
         self.is_max = regime.max_envelope
         self.lossless = regime.lossless
         self.critical = regime is Regime.CRITICAL
@@ -566,7 +569,7 @@ class _CoordinateWorkspace:
         self.P = self.config.targets.points[j]
         self.p2 = detmath.dot(self.P, self.P)
         self.dots = detmath.dot_rows(self.rule.nodes, self.P)
-        self.dot_ends = self.dots[[np.argmin(self.dots), np.argmax(self.dots)]]
+        self.d_min, self.d_max = float(self.dots.min()), float(self.dots.max())
         self.slack = 1e-7 * (1.0 - self.kappa) * math.sqrt(self.p2)
         self.switch = None
 
@@ -586,21 +589,24 @@ class _CoordinateWorkspace:
         if self.switch is None:
             return slice(None)
         if self.is_max:
-            return np.flatnonzero(self.switch <= b + self.slack)
-        return np.flatnonzero(self.switch >= b - self.slack)
+            return (self.switch <= b + self.slack).nonzero()[0]
+        return (self.switch >= b - self.slack).nonzero()[0]
+
+    def _check_support(self, b: float):
+        """Raise unless sheet j is supported on every node at b."""
+        args = (self.regime, self.kappa, self.p2, b)
+        if ovals.support_decided_by_extremes(*args, self.d_max):
+            ok = support_from_dots(*args, self.d_min) and support_from_dots(*args, self.d_max)
+        else:
+            ok = support_from_dots(*args, self.dots).all()
+        if not ok:
+            raise ConfigurationError(f"sheet {self.j} left its support region at b={b}")
 
     def _terms(self, b: float, nodes) -> np.ndarray:
         """Terms w f t of the given nodes that sheet j owns at b, in node
-        order, after checking that the sheet is supported on every node."""
-        dots = np.concatenate((self.dot_ends, self.dots[nodes]))
-        h, ok = ovals.radii_from_dots(self.kappa, self.p2, b, dots)
-        if not ovals.support_decided_by_extremes(self.kappa, self.p2, b, dots[1]):
-            _, ok = ovals.radii_from_dots(self.kappa, self.p2, b, self.dots)
-        if not ok.all():
-            raise ConfigurationError(
-                f"sheet {self.j} left its support region at b={b}"
-            )
-        h, dots = h[2:], dots[2:]
+        order; the caller has checked that the sheet is supported at b."""
+        dots = self.dots[nodes]
+        h = ovals.radius_from_dots(self.regime, self.kappa, self.p2, b, dots)
         low = self.low[nodes]
         if self.is_max:
             T = np.maximum(h, self.other[nodes]) * (1.0 - TIE_TOL)
@@ -615,32 +621,34 @@ class _CoordinateWorkspace:
         return wf * fresnel.transmittance(c, self.config.medium)
 
     def energy(self, b: float) -> float:
-        return float(np.sum(self._terms(b, self._nodes(b))))
+        self._check_support(b)
+        return float(self._terms(b, self._nodes(b)).sum())
 
     def at_least(self, b: float, target: float, strict: bool = False) -> bool:
         """Whether G_j(b) >= target (> if strict); needs `restrict` first."""
+        self._check_support(b)
         nodes = self._nodes(b)
         n = len(nodes)
         cut = 0
         if self.early and n >= _EARLY_MIN:
             # the head: the candidates among the first nodes whose w f sums
             # to twice the target
-            last = np.searchsorted(self.reach, 2.0 * target)
-            cut = int(np.searchsorted(nodes, last, side="right"))
+            last = self.reach.searchsorted(2.0 * target)
+            cut = int(nodes.searchsorted(last, side="right"))
         if 0 < cut < n:
             head = self._terms(b, nodes[:cut])
-            bound = float(np.sum(head)) * (1.0 - 4.0 * n * _EPS)
+            bound = float(head.sum()) * (1.0 - 4.0 * n * _EPS)
             if bound > target or (bound == target and not strict):
                 return True
             terms = np.concatenate((head, self._terms(b, nodes[cut:])))
         else:
             terms = self._terms(b, nodes)
-        g = float(np.sum(terms))
+        g = float(terms.sum())
         return g > target if strict else g >= target
 
     def radii_row(self, b: float) -> np.ndarray:
-        h, _ = ovals.radii_from_dots(self.kappa, self.p2, b, self.dots)
-        return h
+        """Radii of sheet j at a probed b, whose support has been checked."""
+        return ovals.radius_from_dots(self.regime, self.kappa, self.p2, b, self.dots)
 
 
 def _bisect_coordinate(ws: _CoordinateWorkspace, lo: float, hi: float,
@@ -704,7 +712,7 @@ def _sweep_stage(
 
     state = RefractorState(med, tgt, b.copy())
     # checks every sheet's support on this rule; each later row of H is the
-    # radii of a probed b_j whose support `_terms` has checked, and equals
+    # radii of a probed b_j whose support the probe has checked, and equals
     # the matching row of sheet_radii bit for bit (same dots, same kernel)
     H = sheet_radii(state, rule.nodes)
     ws = _CoordinateWorkspace(config, rule, H, wf)

@@ -105,26 +105,45 @@ def test_criterion_1_oval_residuals():
 # criterion 2: focusing oracle
 # ---------------------------------------------------------------------------
 
+# Criterion 2's speed bound, as a ratio to a calibration that machine load
+# slows alike: the trace with the package's sheet and Snell kernels takes
+# 1.8-2.1 times as long as the same vector algebra with a stored radius and
+# an inline Snell multiplier on a 2-core VM, and 3.6-3.7 times when both
+# kernels are made three times slower.
+FOCUS_TIME_RATIO = 3.0
+
+
+def _focus_errors(X, P, kappa, h, snell):
+    """Distance from each refracted ray of the sheet points h x to the focus."""
+    Z = h[:, None] * X
+    to_focus = P[None, :] - Z
+    mhat = to_focus / np.linalg.norm(to_focus, axis=1)[:, None]
+    nu = X - kappa * mhat
+    nu /= np.linalg.norm(nu, axis=1)[:, None]
+    lam = snell(np.einsum("ij,ij->i", X, nu))
+    m = (X - lam[:, None] * nu) / kappa
+    s = np.maximum(np.einsum("ij,ij->i", to_focus, m), 0.0)
+    return np.linalg.norm(to_focus - s[:, None] * m, axis=1)
+
+
 def test_criterion_2_focusing():
     worst = 0.0
-    t0 = time.perf_counter()
+    elapsed = calibration = 0.0
     for regime in REGIMES:
         kappas, P, b, X = _sample_batches(regime, 1000, 10, seed=202)
         for i in range(1000):
             kappa, Pi = kappas[i], P[i]
+            t0 = time.perf_counter()
             h, ok_mask = ovals.radii(kappa, Pi, b[i], X[i])
+            err = _focus_errors(X[i], Pi, kappa, h, lambda t: fresnel.phi(t, kappa))
+            t1 = time.perf_counter()
+            _focus_errors(X[i], Pi, kappa, h,
+                          lambda t: t + np.sqrt(np.maximum(t * t - (1.0 - kappa * kappa), 0.0)))
+            calibration += time.perf_counter() - t1
+            elapsed += t1 - t0
             assert np.all(ok_mask)
-            Z = h[:, None] * X[i]
-            to_focus = Pi[None, :] - Z
-            mhat = to_focus / np.linalg.norm(to_focus, axis=1)[:, None]
-            nu = X[i] - kappa * mhat
-            nu /= np.linalg.norm(nu, axis=1)[:, None]
-            lam = fresnel.phi(np.einsum("ij,ij->i", X[i], nu), kappa)
-            m = (X[i] - lam[:, None] * nu) / kappa
-            s = np.maximum(np.einsum("ij,ij->i", to_focus, m), 0.0)
-            err = np.linalg.norm(to_focus - s[:, None] * m, axis=1)
             worst = max(worst, float(err.max()) / np.linalg.norm(Pi))
-    elapsed = time.perf_counter() - t0
+    ratio = elapsed / calibration
     # tie the vectorized path to the public scalar operations on a subsample
     rng = np.random.default_rng(222)
     for regime in REGIMES:
@@ -136,10 +155,11 @@ def test_criterion_2_focusing():
             rel = P[i] - ovals.polar_radius(oval, x) * x
             s = max(float(rel @ m), 0.0)
             worst = max(worst, float(np.linalg.norm(rel - s * m)) / np.linalg.norm(P[i]))
-    ok = worst <= 1e-8 and elapsed <= 1.0
-    _line(2, ok, f"max focus error/|P| = {worst:.2e} in {elapsed:.2f}s")
+    ok = worst <= 1e-8 and ratio <= FOCUS_TIME_RATIO
+    _line(2, ok, f"max focus error/|P| = {worst:.2e} in {elapsed:.2f}s, "
+                 f"{ratio:.2f} x calibration")
     assert worst <= 1e-8
-    assert elapsed <= 1.0
+    assert ratio <= FOCUS_TIME_RATIO
 
 
 # ---------------------------------------------------------------------------

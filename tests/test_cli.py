@@ -523,6 +523,23 @@ def test_trace_with_non_finite_values_is_a_validation_error(tmp_path, monkeypatc
     assert cli.main(_trace_argv(solved_report, tmp_path)) == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["solve", "trace", "export"])
+@pytest.mark.parametrize("unusable", ["directory", "missing parent"])
+def test_unusable_output_path_is_a_usage_error(tmp_path, capsys, solved_report, command,
+                                              unusable):
+    cfgp, report = solved_report
+    out = tmp_path / "out"
+    if unusable == "directory":
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "out"
+    argv = {"solve": ["solve", cfgp, "--out", str(out)],
+            "trace": ["trace", cfgp, "--state", report, "--out-csv", str(out)],
+            "export": ["export", cfgp, "--state", report, "--out", str(out)]}[command]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert f"cannot write output {out}" in capsys.readouterr().err
+
+
 def _count_sheet_radii(monkeypatch):
     """Count every call of `refractor.sheet_radii`, through each module that
     binds it; returns the list that grows by one per call."""

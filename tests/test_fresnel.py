@@ -203,3 +203,37 @@ def test_focusing_oracle_random_all_regimes():
             rel = Pi - z
             s = max(float(rel @ m), 0.0)
             assert np.linalg.norm(rel - s * m) <= 1e-8 * np.linalg.norm(Pi)
+
+
+def _window_refuses(c, t_min):
+    """The elementwise window check: refuse when any entry lies more than
+    1e-12 outside [t_min, 1]; NaN entries fail both comparisons."""
+    c = np.asarray(c, dtype=float)
+    return bool(np.any(c < t_min - 1e-12) or np.any(c > 1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("margin", [None, AdmissibilityMargin(0.1)])
+@pytest.mark.parametrize("kappa", [-2.0, -0.5])
+def test_window_check_refuses_where_the_elementwise_check_does(kappa, margin):
+    medium = MediumPair(kappa, 1.3, 0.4)
+    t_min = margin.window(kappa)[0] if margin else medium.regime.window_floor(kappa)
+    lo, hi = t_min - 1e-12, 1.0 + 1e-12
+    below, above = float(np.nextafter(lo, -np.inf)), float(np.nextafter(hi, np.inf))
+    mid, nan = 0.5 * (t_min + 1.0), np.nan
+    cases = [
+        mid, lo, hi, below, above, nan,
+        np.array(mid), np.array(below), np.array(above), np.array(nan),
+        np.array([]), np.array([lo, hi]), np.array([mid, below]), np.array([above, mid]),
+        np.array([nan, mid]), np.array([nan, below]), np.array([above, nan]),
+        np.array([nan, nan]), np.array([[mid, lo], [hi, below]]),
+    ]
+    for c in cases:
+        if _window_refuses(c, t_min):
+            with pytest.raises(InadmissibleIncidenceError):
+                reflectance(c, medium, margin)
+            if margin is None:
+                with pytest.raises(InadmissibleIncidenceError):
+                    transmittance(c, medium)
+        else:
+            r = reflectance(c, medium, margin)
+            assert np.shape(r) == np.shape(c)

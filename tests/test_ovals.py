@@ -224,3 +224,85 @@ def test_interval_contains():
     assert r.contains(0.0) and not r.contains(1.0)
     rc = Interval(-1.0, 1.0, closed=True)
     assert rc.contains(1.0) and rc.contains(-1.0)
+
+
+
+def _edge_dots(kappa, p, b):
+    """Dot products x . P around the sheet's support edges, grouped: the rim
+    where the discriminant vanishes (strong, mild) or d = b (mild,
+    critical), the DISC_SLACK clip edge, and the strong sign change of u.
+    Each edge comes with neighbours up to four ulps and 1e-11 away.  The
+    mild clip edge lies beyond |d| = |P|, out of reach of unit directions,
+    but the mask is a formula in d and must agree there too."""
+    k2, p2, slack = kappa * kappa, p * p, ovals.DISC_SLACK
+    reg = regime_of(kappa)
+    groups = {"rim": [] if reg is Regime.STRONG else [b], "clip": [], "sign": []}
+    if reg is Regime.STRONG:
+        c = (k2 - 1.0) * (k2 * p2 - b * b)
+        groups["rim"].append((b + np.sqrt(c)) / k2)
+        groups["clip"].append((b + np.sqrt(c * (1.0 - slack))) / k2)
+        groups["sign"].append(b / k2)
+    elif reg is Regime.MILD and (1.0 - k2) * (b * b - k2 * p2) > 0.0:
+        c = (1.0 - k2) * (b * b - k2 * p2)
+        for sign in (1.0, -1.0):
+            groups["rim"].append((b - sign * np.sqrt(c)) / k2)
+            groups["clip"].append((b - sign * np.sqrt(c * (1.0 - slack))) / k2)
+    out = {}
+    for name, edges in groups.items():
+        near = list(edges)
+        for e in edges:
+            near += [e * (1.0 + r) for r in (-1e-11, -1e-12, -1e-13, 1e-13, 1e-12, 1e-11)]
+            up = down = e
+            for _ in range(4):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                near += [up, down]
+        out[name] = np.array(near, dtype=float)
+    return out
+
+
+def _reference_support(kappa, p2, b, dots):
+    """The support mask as a whole-array formula, with the clip slack scaled
+    by the larger of the discriminant's two terms."""
+    k2 = kappa * kappa
+    reg = regime_of(kappa)
+    if reg is Regime.CRITICAL:
+        return b - dots < 0.0
+    if reg is Regime.STRONG:
+        u = k2 * dots - b
+        disc = u * u - (k2 - 1.0) * (k2 * p2 - b * b)
+        scale = np.maximum(u * u, (k2 - 1.0) * abs(k2 * p2 - b * b))
+        return (disc >= -ovals.DISC_SLACK * scale) & (u > 0.0)
+    v = b - k2 * dots
+    disc = v * v - (1.0 - k2) * (b * b - k2 * p2)
+    scale = np.maximum(v * v, (1.0 - k2) * abs(b * b - k2 * p2))
+    return (dots >= b) & (disc >= -ovals.DISC_SLACK * scale)
+
+
+@pytest.mark.parametrize("regime", [Regime.STRONG, Regime.MILD, Regime.CRITICAL])
+def test_float_support_equals_array_mask(regime):
+    # support_from_dots on one float d is radii_from_dots' mask at d, and
+    # both are the reference mask, also where the mask flips: at the rim and
+    # at the DISC_SLACK clip edge
+    rng = np.random.default_rng({Regime.STRONG: 51, Regime.MILD: 52, Regime.CRITICAL: 53}[regime])
+    flips = {"rim": 0, "clip": 0, "sign": 0}
+    for _ in range(200):
+        kappa = {Regime.STRONG: -rng.uniform(1.05, 3.0), Regime.MILD: -rng.uniform(0.05, 0.95),
+                 Regime.CRITICAL: -1.0}[regime]
+        p = float(rng.uniform(0.3, 3.0))
+        adm = admissible_b(np.array([0.0, 0.0, p]), kappa)
+        b = float(adm.lo + rng.uniform(0.001, 0.999) * (adm.hi - adm.lo))
+        p2 = p * p
+        groups = _edge_dots(kappa, p, b)
+        groups["random"] = rng.uniform(-p, p, 20)
+        for name, dots in groups.items():
+            _, ok = ovals.radii_from_dots(kappa, p2, b, dots)
+            assert np.array_equal(ok, _reference_support(kappa, p2, b, dots))
+            for d, want in zip(dots.tolist(), ok.tolist()):
+                got = ovals.support_from_dots(regime, kappa, p2, b, d)
+                assert type(got) is bool and got == want, (kappa, p, b, d)
+            if name in flips:
+                flips[name] += 0 < ok.sum() < ok.size
+    # the edges were hit: the mask changes value within their neighbourhoods
+    assert flips["rim"] > 0
+    if regime is not Regime.CRITICAL:
+        assert flips["clip"] > 0

@@ -722,6 +722,12 @@ def _assert_probe_matches(ws, b, targets):
     for target in targets:
         assert ws.at_least(b, target) == (ref >= target)
         assert ws.at_least(b, target, strict=True) == (ref > target)
+    h, _ = ovals.radii_from_dots(ws.kappa, ws.p2, b, ws.dots)
+    assert ws.radii_row(b).tobytes() == h.tobytes()
+    # before `restrict`, as on a cheap accept: one pass over every node
+    ws.begin(ws.j)
+    assert ws.energy(b).hex() == ref.hex()
+    ws.restrict()
 
 
 def _ulp_step(x, ulps):
@@ -773,6 +779,32 @@ def test_early_decisions_are_taken():
     finally:
         del ws._terms
     assert len(calls) == 1 and 0 < calls[0] < len(ws._nodes(hi))
+
+
+@pytest.mark.parametrize("kappa", _REGIMES)
+def test_probes_take_the_regime_from_the_workspace(monkeypatch, kappa):
+    # regime_of runs as often in a visit of 19 probes as in one of 49
+    cfg, ws, (lo, hi) = _begin(kappa, 2)
+    target = float(cfg.targets.weights[2])
+    calls = []
+    regime_of = ovals.regime_of
+
+    def counted(k):
+        calls.append(k)
+        return regime_of(k)
+
+    monkeypatch.setattr(ovals, "regime_of", counted)
+    monkeypatch.setattr(nr.fresnel, "regime_of", counted)
+    counts = {}
+    for b_tol in (1e-5 * (hi - lo), 1e-14 * (hi - lo)):
+        calls.clear()
+        ws.begin(2)
+        ws.energy(0.5 * (lo + hi))
+        ws.restrict()
+        b, evals, _ = solver._bisect_coordinate(ws, lo, hi, target, b_tol, ws.is_max)
+        ws.radii_row(b)
+        counts[evals] = len(calls)
+    assert len(counts) == 2 and len(set(counts.values())) == 1, counts
 
 
 @pytest.mark.parametrize("kappa", [-1.5, -0.5])  # max and min envelopes
@@ -848,7 +880,7 @@ def test_two_node_support_check_equals_full_mask(regime, k, p, c_min, where, u, 
     dots = np.concatenate([dots, [_ulp_step(rim, k) for k in range(-3, 4)]])
     dots = dots[(dots >= -p) & (dots <= p)]
     _, ok = ovals.radii_from_dots(kappa, p2, b, dots)
-    if ovals.support_decided_by_extremes(kappa, p2, b, float(dots.max())):
+    if ovals.support_decided_by_extremes(ovals.regime_of(kappa), kappa, p2, b, float(dots.max())):
         ends = np.array([dots.min(), dots.max()])
         assert ovals.radii_from_dots(kappa, p2, b, ends)[1].all() == ok.all()
     else:
