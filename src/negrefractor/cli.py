@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -243,6 +244,20 @@ def load_config(path: str):
 # exports
 # ---------------------------------------------------------------------------
 
+def _check_output(path: str | None, fmt: str | None = None, dim: int | None = None) -> None:
+    """Refuse an unusable output before any work: a directory, a path whose
+    directory is missing, or an export format for surfaces of another dimension."""
+    if path and os.path.isdir(path):
+        reason = "is a directory"
+    elif path and not os.path.isdir(os.path.dirname(path) or "."):
+        reason = "its directory does not exist"
+    elif path and fmt and {"obj": 3, "csv": 2}[fmt] != dim:
+        reason = f"{fmt} export does not fit a {dim}-D surface"
+    else:
+        return
+    raise SchemaError(f"cannot write output {path}: {reason}")
+
+
 def _open_output(path: str):
     """Open an output file; a path that cannot be written is a usage error."""
     try:
@@ -254,18 +269,12 @@ def _open_output(path: str):
 def export_surface(rho: np.ndarray, rule, path: str, fmt: str) -> None:
     """Write the envelope surface rho(x) x: OBJ triangle mesh (n=3) or CSV polyline (n=2)."""
     if fmt == "csv":
-        if rule.domain.dim != 2:
-            raise ValueError("csv polyline export is for 2-D surfaces")
         angles = np.arctan2(rule.nodes[:, 1], rule.nodes[:, 0])
         with _open_output(path) as fh:
             fh.write("angle,rho\n")
             for a, r in zip(angles, rho):
                 fh.write(f"{_fmt_float(a)},{_fmt_float(r)}\n")
         return
-    if fmt != "obj":
-        raise ValueError(f"unknown export format {fmt!r}")
-    if rule.domain.dim != 3:
-        raise ValueError("obj export is for 3-D surfaces")
     n_polar, n_az = rule.grid_shape
     verts = rho[:, None] * rule.nodes
     lines = ["# envelope refractor surface"]
@@ -332,6 +341,7 @@ def write_trace_csv(traced, rule, path: str) -> None:
 
 def cmd_validate(args) -> int:
     config, echo = load_config(args.config)
+    _check_output(args.out)
     report = solver.validate(config)
     doc = {"config": echo, "validation": report.to_dict()}
     text = finalize_report(doc, {})
@@ -362,6 +372,8 @@ def _write_or_print(text: str, out: str | None):
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     config, echo = load_config(args.config)
+    _check_output(args.out)
+    _check_output(args.export, args.export_format, config.domain.dim)
     rule = config.rule()
     t1 = time.perf_counter()
     report = solver.solve_discrete(config, rule)
@@ -395,6 +407,8 @@ def cmd_solve(args) -> int:
 
 def cmd_trace(args) -> int:
     config, echo = load_config(args.config)
+    _check_output(args.out_csv)
+    _check_output(args.out)
     rule = config.rule()
     state = _state_from_report(config, args.state)
     field = evaluate_field(state, rule)
@@ -407,6 +421,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_fresnel_table(args) -> int:
+    _check_output(args.out)
     medium = MediumPair(kappa=args.kappa, sigma=args.sigma, alpha=args.alpha)
     margin = AdmissibilityMargin(args.epsilon)
     _, t_max = margin.window(args.kappa)  # raises when the margin empties it
@@ -427,6 +442,7 @@ def cmd_fresnel_table(args) -> int:
 
 def cmd_export(args) -> int:
     config, _ = load_config(args.config)
+    _check_output(args.out, args.format, config.domain.dim)
     rule = config.rule()
     state = _state_from_report(config, args.state)
     export_surface(evaluate_field(state, rule).rho, rule, args.out, args.format)
@@ -492,7 +508,7 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (solver.InfeasibleGeometryError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid problem: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive

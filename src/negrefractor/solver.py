@@ -286,12 +286,12 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
 
     # worst-case refraction-cosine erosion: the surface sits within r0 of the
     # origin, so x.m can undercut x.P/|P| by an r0-sized amount.  For
-    # r0 < |P_j| (the r0 record's cap lies below min |P|) the bound
-    # (c|P| - r0)/(|P| +- r0) is non-decreasing in c under rounding: each
-    # rounded step is monotone, and a negative numerator always maps below a
-    # non-negative one.  So its minimum over the nodes is its value at each
-    # target's least cosine, bit for bit.
-    if not reg.lossless and threshold is not None:
+    # r0 < min |P| the bound (c|P| - r0)/(|P| +- r0) is non-decreasing in c
+    # under rounding: each rounded step is monotone, and a negative numerator
+    # always maps below a non-negative one.  So its minimum over the nodes is
+    # its value at each target's least cosine, bit for bit.  A larger r0 has
+    # no such bound, and the r0 record (its cap lies below min |P|) fails it.
+    if not reg.lossless and threshold is not None and config.r0 < p_min:
         num = cos_mins * tgt.norms - config.r0
         den = np.where(num >= 0.0, tgt.norms + config.r0, tgt.norms - config.r0)
         eroded = float((num / den).min())
@@ -395,17 +395,19 @@ def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> Ref
     b[0] = config.b1
     if reg is Regime.STRONG:
         c_init = float(h1.min())
-        for attempt in range(80):
+        for _ in range(80):
             b[1:] = c_init * (1.0 - k) + k * tgt.norms[1:]
-            try:
-                state = RefractorState(med, tgt, b.copy())
-                G = refractor.measures(state, rule, config.density)
-            except (ConfigurationError, ValueError):
-                c_init *= 0.5
+            c_init *= 0.5
+            if not all(ovals.admissible_b(P, k).contains(bj)
+                       for P, bj in zip(tgt.points[1:], b[1:])):
                 continue
+            state = RefractorState(med, tgt, b.copy())
+            try:
+                G = refractor.measures(state, rule, config.density)
+            except (ConfigurationError, fresnel.InadmissibleIncidenceError):
+                continue  # a parked sheet left its support or the window
             if np.all(G[1:] == 0.0):
                 return state
-            c_init *= 0.5
         raise InfeasibleGeometryError(
             "could not park the non-anchor sheets below the anchor"
         )
@@ -529,7 +531,6 @@ class _CoordinateWorkspace:
         self.regime = regime = config.medium.regime
         self.is_max = regime.max_envelope
         self.lossless = regime.lossless
-        self.critical = regime is Regime.CRITICAL
         self.early = regime is not Regime.MILD
         # envelope of sheet rows and the value of an empty one
         self.env = np.maximum if self.is_max else np.minimum
@@ -582,7 +583,7 @@ class _CoordinateWorkspace:
             edge = self.other * (1.0 + TIE_TOL)
             r = np.where(edge < self.low, edge, self.low / (1.0 + TIE_TOL))
         dist = np.sqrt(np.maximum(r * r - 2.0 * r * self.dots + self.p2, 0.0))
-        self.switch = r - dist if self.critical else r + self.kappa * dist
+        self.switch = r - dist if self.lossless else r + self.kappa * dist
 
     def _nodes(self, b: float):
         """Candidate nodes at b, in node order (all nodes before `restrict`)."""
@@ -651,66 +652,55 @@ class _CoordinateWorkspace:
         return ovals.radius_from_dots(self.regime, self.kappa, self.p2, b, self.dots)
 
 
-def _bisect_coordinate(ws: _CoordinateWorkspace, lo: float, hi: float,
-                       target: float, b_tol: float, increasing: bool):
+def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,
+                       target: float, b_tol: float, strict: bool):
     """Drive the coordinate's energy to the target by bisection.
 
-    Returns (b, evaluation count, exhausted flag).  The energy is a monotone
-    step function of b; when the target is unreachable inside [lo, hi] the
-    appropriate end is returned with exhausted=True.  Otherwise the returned
-    point is the feasible side of the crossing (energy <= target, within one
-    node weight of it).  Coordinates visited later in the sweep can still
-    push this measure above its target.
+    The energy is a monotone step function of b that should lie under the
+    target at `below` and reach it at `above` (exceed it if strict), in
+    either order of the two ends.  Returns (b, evaluation count, exhausted
+    flag).  When the target is unreachable between the ends, the end that
+    misses it is returned with exhausted=True.  Otherwise the returned point
+    is the feasible side of the crossing (energy <= target, within one node
+    weight of it).  Coordinates visited later in the sweep can still push
+    this measure above its target.
     """
-    if increasing:
-        lo_over = ws.at_least(lo, target, strict=True)
-        if not ws.at_least(hi, target):
-            return hi, 2, True
-        if lo_over:
-            return lo, 2, True
-    else:
-        lo_under = not ws.at_least(lo, target)
-        hi_over = ws.at_least(hi, target, strict=True)
-        if lo_under:
-            return lo, 2, True
-        if hi_over:
-            return hi, 2, True
+    below_over = ws.at_least(below, target, strict=True)
+    if not ws.at_least(above, target):
+        return above, 2, True
+    if below_over:
+        return below, 2, True
     evals = 2
-    a, c = lo, hi
-    while c - a > b_tol:
-        mid = 0.5 * (a + c)
-        if mid <= a or mid >= c:
+    while abs(above - below) > b_tol:
+        mid = 0.5 * (below + above)
+        if mid == below or mid == above:
             break
         evals += 1
-        if increasing:
-            reached = ws.at_least(mid, target)
+        if ws.at_least(mid, target, strict):
+            above = mid
         else:
-            reached = not ws.at_least(mid, target, strict=True)
-        if reached:
-            c = mid
-        else:
-            a = mid
-    return (a if increasing else c), evals, False
+            below = mid
+    return below, evals, False
 
 
 def _sweep_stage(
     config: ProblemConfig,
     rule: QuadratureRule,
-    b: np.ndarray,
+    state: RefractorState,
+    wf: np.ndarray,
     stage_tol_abs: float,
-    max_outer: int,
     sweeps: list,
 ):
-    """Gauss-Seidel sweeps on one quadrature rule, mutating b in place."""
-    med, tgt = config.medium, config.targets
+    """Gauss-Seidel sweeps on one quadrature rule from `state`; `wf` is the
+    rule's weights times the density values.  Returns the new state, its
+    field and measures, and the stage status."""
+    tgt = config.targets
     m = tgt.count
     tol = config.tolerances
-    increasing = med.regime.max_envelope
+    increasing = state.regime.max_envelope
     cos_mins = _cosine_minima(rule, tgt)
-    dens = config.density.values_on(rule)
-    wf = rule.weights * dens
+    b = state.b.copy()
 
-    state = RefractorState(med, tgt, b.copy())
     # checks every sheet's support on this rule; each later row of H is the
     # radii of a probed b_j whose support the probe has checked, and equals
     # the matching row of sheet_radii bit for bit (same dots, same kernel)
@@ -720,8 +710,7 @@ def _sweep_stage(
     status = "max_outer_exceeded"
     field = refractor.field_of(state, rule, assign_envelope(H, state.regime))
     G = field.measures(wf, m)
-    b_prev = None
-    for sweep in range(max_outer):
+    for sweep in range(tol.max_outer):
         C1_est = float(field.rho.min())
         del field  # hold no field while the sweep runs
         counts = []
@@ -736,16 +725,18 @@ def _sweep_stage(
                 counts.append(1)
                 continue
             lo, hi = _coordinate_range(config, j, C1_est, float(cos_mins[j]))
-            b_tol_j = tol.b_tol * float(tgt.norms[j])
+            below, above = (lo, hi) if increasing else (hi, lo)
             ws.restrict()
             bj, evals, exhausted = _bisect_coordinate(
-                ws, lo, hi, target_j, b_tol_j, increasing
+                ws, below, above, target_j, tol.b_tol * float(tgt.norms[j]), not increasing
             )
             b[j] = bj
             H[j] = ws.radii_row(bj)
             counts.append(evals + 1)
             exhausted_any = exhausted_any or exhausted
         ws.end_sweep()  # frees its (m, N) envelopes before the field is built
+        # no coordinate moved since the last sweep: further sweeps are no-ops
+        stalled = sweep > 0 and np.array_equal(b, state.b)
         state = state.with_b(b.copy())
         field = refractor.field_of(state, rule, assign_envelope(H, state.regime))
         G = field.measures(wf, m)
@@ -766,14 +757,10 @@ def _sweep_stage(
         if resid <= stage_tol_abs:
             status = "converged"
             break
-        if b_prev is not None and np.array_equal(b, b_prev):
-            # no coordinate moved: further sweeps are no-ops
+        if stalled:
             status = "stalled"
             break
-        b_prev = b.copy()
-    else:
-        if sweeps and sweeps[-1]["exhausted"]:
-            status = "bracket_exhausted"
+        status = "bracket_exhausted" if exhausted_any else "max_outer_exceeded"
     return state, field, G, status
 
 
@@ -801,7 +788,6 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
     tol_abs = tol.measure_tol * mu
 
     state = init_state(config, rule)
-    b = state.b.copy()
     sweeps: list[dict] = []
     status = "converged"
     if m == 1:
@@ -814,13 +800,9 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
             build_quadrature(config.domain, lvl) for lvl in range(first, rule.level)
         ] + [rule]
         for stage_rule in ladder:
-            final = stage_rule is ladder[-1]
-            f_stage = config.density.values_on(stage_rule)
-            granularity = float(np.max(stage_rule.weights * f_stage))
-            stage_tol = tol_abs if final else max(tol_abs, 2.0 * granularity)
-            state, field, G, status = _sweep_stage(
-                config, stage_rule, b, stage_tol, tol.max_outer, sweeps
-            )
+            wf = stage_rule.weights * config.density.values_on(stage_rule)
+            stage_tol = tol_abs if stage_rule is rule else max(tol_abs, 2.0 * float(np.max(wf)))
+            state, field, G, status = _sweep_stage(config, stage_rule, state, wf, stage_tol, sweeps)
 
     rho = field.rho
     anchor_surplus = float(G[0] - tgt.weights[0])
@@ -833,7 +815,7 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
             status = "degenerate_radius"
     return SolveReport(
         status=status,
-        b=b.copy(),
+        b=state.b,
         measures=G,
         residuals=G - tgt.weights,
         anchor_surplus=anchor_surplus,

@@ -525,8 +525,8 @@ def test_trace_with_non_finite_values_is_a_validation_error(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("command", ["solve", "trace", "export"])
 @pytest.mark.parametrize("unusable", ["directory", "missing parent"])
-def test_unusable_output_path_is_a_usage_error(tmp_path, capsys, solved_report, command,
-                                              unusable):
+def test_unusable_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, solved_report,
+                                              command, unusable):
     cfgp, report = solved_report
     out = tmp_path / "out"
     if unusable == "directory":
@@ -536,8 +536,30 @@ def test_unusable_output_path_is_a_usage_error(tmp_path, capsys, solved_report, 
     argv = {"solve": ["solve", cfgp, "--out", str(out)],
             "trace": ["trace", cfgp, "--state", report, "--out-csv", str(out)],
             "export": ["export", cfgp, "--state", report, "--out", str(out)]}[command]
+    calls = _count_sheet_radii(monkeypatch)
     assert cli.main(argv) == cli.EXIT_PARSE
     assert f"cannot write output {out}" in capsys.readouterr().err
+    assert not calls  # refused before any work
+
+
+@pytest.mark.parametrize("command", ["solve", "export"])
+@pytest.mark.parametrize("dimension, fmt", [(3, "csv"), (2, "obj")])
+def test_export_format_must_fit_the_dimension(tmp_path, capsys, monkeypatch, command,
+                                              dimension, fmt):
+    doc = _config_dict(quadrature_level=5) if dimension == 3 else _two_dimensional_doc(5)
+    cfgp = _write(tmp_path, doc)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"report": {"solve": {"b": [doc["b1"]] * len(doc["targets"])}}}))
+    report, surface = tmp_path / "r.json", tmp_path / f"surface.{fmt}"
+    argv = {"solve": ["solve", cfgp, "--out", str(report), "--export", str(surface),
+                      "--export-format", fmt],
+            "export": ["export", cfgp, "--state", str(state), "--format", fmt,
+                       "--out", str(surface)]}[command]
+    calls = _count_sheet_radii(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"cannot write output {surface}: {fmt} export does not fit a {dimension}-D" in err
+    assert not calls and not report.exists() and not surface.exists()
 
 
 def _count_sheet_radii(monkeypatch):

@@ -4,6 +4,7 @@ dyadic refinement driver."""
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -87,6 +88,23 @@ def test_margin_that_empties_the_window_is_reported():
     cli.canonical_json(rep.to_dict())  # every number is finite
     with pytest.raises(ValidationFailure):
         solve_discrete(cfg)
+
+
+def test_margin_erosion_needs_r0_below_every_target():
+    # r0 >= min |P| has no erosion bound (-inf after a division by zero at
+    # r0 = |P|, values above 1 beyond), and the r0 record fails it
+    cfg = symmetric_pair_config(-1.5)
+    for r0 in (1.0, 1.5, 3.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate(_replace(cfg, r0=r0))
+        assert not any(r.name == "margin-erosion" for r in rep.records), r0
+        assert any(r.name == "A0-2" and r.status == "fail" for r in rep.records)
+    rec = [r for r in validate(cfg).records if r.name == "margin-erosion"]
+    assert cfg.r0 == 0.085 and rec == [solver.CheckRecord(
+        "margin-erosion", "ok",
+        "conservative min x.m = 0.6766991443386651 vs window floor -0.2666666666666666",
+    )]
 
 
 def test_validate_critical_surplus_reduces_to_mass():
@@ -255,6 +273,20 @@ def test_init_mild_sheet_ordering_holds_nodewise():
     assert np.all(H[0] <= H[1])
 
 
+def test_init_strong_parking_retries_only_what_parking_causes(monkeypatch):
+    # an error that no parked sheet can cause is not retried under another name
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(1)
+        raise ValueError("not a parking failure")
+
+    monkeypatch.setattr(refractor, "measures", broken)
+    with pytest.raises(ValueError, match="not a parking failure") as info:
+        init_state(symmetric_pair_config(-1.5))
+    assert type(info.value) is ValueError and len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # discrete solve
 # ---------------------------------------------------------------------------
@@ -417,16 +449,74 @@ def test_sweeps_evaluate_the_sheets_once_per_ladder_stage(monkeypatch):
 # ---------------------------------------------------------------------------
 
 class _StepWorkspace:
-    """Stand-in for the coordinate workspace: the energy is 1 on one side of
-    the step s and 0 on the other, and every probe is counted."""
+    """Stand-in for the coordinate workspace: the energy counts the steps
+    at or below b (increasing) or at or above b (decreasing), and every
+    probed b is recorded."""
 
-    def __init__(self, s, increasing):
-        self.s, self.increasing, self.calls = s, increasing, 0
+    def __init__(self, steps, increasing):
+        self.steps, self.increasing, self.probes = np.atleast_1d(steps), increasing, []
 
     def at_least(self, b, target, strict=False):
-        self.calls += 1
-        g = float(b >= self.s) if self.increasing else float(b <= self.s)
+        self.probes.append(b)
+        g = float(np.sum(b >= self.steps if self.increasing else b <= self.steps))
         return g > target if strict else g >= target
+
+
+class _RecordingWorkspace:
+    """A coordinate workspace whose probed b values are recorded."""
+
+    def __init__(self, ws):
+        self.ws, self.probes = ws, []
+
+    def at_least(self, b, target, strict=False):
+        self.probes.append(b)
+        return self.ws.at_least(b, target, strict)
+
+
+def _two_branch_bisection(ws, lo, hi, target, b_tol, increasing):
+    """The bisection as written per envelope sense before it took one
+    shape: the reference that `solver._bisect_coordinate` must reproduce."""
+    if increasing:
+        lo_over = ws.at_least(lo, target, strict=True)
+        if not ws.at_least(hi, target):
+            return hi, 2, True
+        if lo_over:
+            return lo, 2, True
+    else:
+        lo_under = not ws.at_least(lo, target)
+        hi_over = ws.at_least(hi, target, strict=True)
+        if lo_under:
+            return lo, 2, True
+        if hi_over:
+            return hi, 2, True
+    evals = 2
+    a, c = lo, hi
+    while c - a > b_tol:
+        mid = 0.5 * (a + c)
+        if mid <= a or mid >= c:
+            break
+        evals += 1
+        if increasing:
+            reached = ws.at_least(mid, target)
+        else:
+            reached = not ws.at_least(mid, target, strict=True)
+        if reached:
+            c = mid
+        else:
+            a = mid
+    return (a if increasing else c), evals, False
+
+
+def _assert_bisection_matches_reference(make_ws, lo, hi, target, b_tol, increasing):
+    """Bisect [lo, hi] as `_sweep_stage` does and as the reference does, on
+    fresh workspaces; returns the reference's result and probes."""
+    ref_ws, new_ws = make_ws(), make_ws()
+    ref = _two_branch_bisection(ref_ws, lo, hi, target, b_tol, increasing)
+    below, above = (lo, hi) if increasing else (hi, lo)
+    assert solver._bisect_coordinate(new_ws, below, above, target, b_tol, not increasing) == ref
+    # the same probes; the min envelope now probes hi before lo
+    assert sorted(new_ws.probes) == sorted(ref_ws.probes)
+    return ref, ref_ws.probes
 
 
 @pytest.mark.parametrize("increasing", [True, False])
@@ -436,8 +526,9 @@ def test_bisection_returns_the_exhausted_end(increasing, step, end):
     # [lo, hi], a decreasing one stays above it; a step below lo: an
     # increasing energy exceeds the target at lo, a decreasing one is below it
     ws = _StepWorkspace(step, increasing)
-    assert solver._bisect_coordinate(ws, 1.0, 2.0, 0.5, 1e-9, increasing) == (end, 2, True)
-    assert ws.calls == 2
+    below, above = (1.0, 2.0) if increasing else (2.0, 1.0)
+    assert solver._bisect_coordinate(ws, below, above, 0.5, 1e-9, not increasing) == (end, 2, True)
+    assert len(ws.probes) == 2
 
 
 @pytest.mark.parametrize("increasing", [True, False])
@@ -445,11 +536,29 @@ def test_bisection_stops_at_adjacent_floats(increasing):
     # b_tol = 0: only the midpoint test ends the loop, once the bracket is
     # two adjacent floats; in [1, 2) that takes 52 halvings
     ws = _StepWorkspace(1.3, increasing)
-    b, evals, exhausted = solver._bisect_coordinate(ws, 1.0, 2.0, 0.5, 0.0, increasing)
+    below, above = (1.0, 2.0) if increasing else (2.0, 1.0)
+    b, evals, exhausted = solver._bisect_coordinate(ws, below, above, 0.5, 0.0, not increasing)
     # the feasible side of the step: energy 0 <= target, next to the crossing
     assert b == np.nextafter(1.3, -np.inf if increasing else np.inf)
     assert not exhausted
-    assert evals == ws.calls == 2 + 52
+    assert evals == len(ws.probes) == 2 + 52
+
+
+@pytest.mark.parametrize("increasing", [True, False])
+@pytest.mark.parametrize("b_tol", [0.0, 1e-9])
+@pytest.mark.parametrize("steps", [
+    (1.3,), (1.1, 1.25, 1.5, 1.9), (0.5, 1.2, 1.2, 1.7, 3.0), (1.0, 1.5, 2.0),
+])
+def test_bisection_matches_the_two_branch_reference_on_steps(increasing, b_tol, steps):
+    # integer targets hit a step value exactly, where `strict` decides; the
+    # lowest and highest ones exhaust an end whenever a step lies off [1, 2]
+    exhausted = set()
+    for target in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
+        (_, _, flag), _ = _assert_bisection_matches_reference(
+            lambda: _StepWorkspace(steps, increasing), 1.0, 2.0, target, b_tol, increasing
+        )
+        exhausted.add(flag)
+    assert exhausted == {True, False}
 
 
 def _solve_with_final_field(monkeypatch, cfg, change):
@@ -683,7 +792,7 @@ def _reference_energy(ws, b):
         mine = (h <= T) & (ws.low > T)
     if not np.any(mine):
         return 0.0
-    if ws.critical:
+    if ws.lossless:
         return float(np.sum(ws.wf[mine]))
     hm, dm = h[mine], ws.dots[mine]
     dist = np.sqrt(np.maximum(ws.p2 - 2.0 * hm * dm + hm * hm, 0.0))
@@ -714,6 +823,22 @@ def _begin(kappa, j):
     ws.begin(j)
     ws.restrict()
     return cfg, ws, ranges[j]
+
+
+@pytest.mark.parametrize("kappa", _REGIMES)
+def test_bisection_matches_the_two_branch_reference_on_workspaces(kappa):
+    # targets equal to the energy at probed points: exact hits of G_j
+    for j in range(1, 5):
+        cfg, ws, (lo, hi) = _begin(kappa, j)
+        for b_tol in (cfg.tolerances.b_tol * float(cfg.targets.norms[j]), 0.0):
+            _, probes = _assert_bisection_matches_reference(
+                lambda: _RecordingWorkspace(ws), lo, hi,
+                float(cfg.targets.weights[j]), b_tol, ws.is_max,
+            )
+            for b in (probes[0], probes[1], probes[len(probes) // 2], probes[-1]):
+                _assert_bisection_matches_reference(
+                    lambda: _RecordingWorkspace(ws), lo, hi, ws.energy(b), b_tol, ws.is_max,
+                )
 
 
 def _assert_probe_matches(ws, b, targets):
@@ -801,7 +926,8 @@ def test_probes_take_the_regime_from_the_workspace(monkeypatch, kappa):
         ws.begin(2)
         ws.energy(0.5 * (lo + hi))
         ws.restrict()
-        b, evals, _ = solver._bisect_coordinate(ws, lo, hi, target, b_tol, ws.is_max)
+        ends = (lo, hi) if ws.is_max else (hi, lo)
+        b, evals, _ = solver._bisect_coordinate(ws, *ends, target, b_tol, not ws.is_max)
         ws.radii_row(b)
         counts[evals] = len(calls)
     assert len(counts) == 2 and len(set(counts.values())) == 1, counts
