@@ -474,8 +474,9 @@ class _CoordinateWorkspace:
 
     Node x belongs to sheet j iff sheet j is within the tie band of the
     envelope and no lower-indexed sheet is: the lowest-index rule of the full
-    envelope assignment.  A bisection probes G_j some 45 times per coordinate
-    visit, so after `restrict` each probe looks only at candidate nodes.
+    envelope assignment.  A cold bisection probes G_j some 45 times per
+    coordinate visit and a resumed one fewer (`_bisect_coordinate`), so
+    after `restrict` each probe looks only at candidate nodes.
     Three facts keep every probe bit-identical to a pass over all nodes.
 
     Superset.  Let `low` / `other` be the envelope of the lower-indexed / of
@@ -653,7 +654,7 @@ class _CoordinateWorkspace:
 
 
 def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,
-                       target: float, b_tol: float, strict: bool):
+                       target: float, b_tol: float, strict: bool, path: list | None = None):
     """Drive the coordinate's energy to the target by bisection.
 
     The energy is a monotone step function of b that should lie under the
@@ -664,23 +665,66 @@ def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,
     is the feasible side of the crossing (energy <= target, within one node
     weight of it).  Coordinates visited later in the sweep can still push
     this measure above its target.
+
+    Resuming.  `path`, replaced in place, holds the key (below, above,
+    target, b_tol, strict) of the coordinate's last visit and its nested
+    brackets, the ends first; an exhausted visit leaves it empty.  The
+    halving tree depends on the key alone.  Each point is asked what the
+    plain loop asks there: strict at the first below end, not strict at the
+    first above end, `strict` at every midpoint.  G_j is monotone in b (more
+    exactly, whether it reaches the target changes once on the range, which
+    the plain loop assumes too), so an old bracket whose below end misses
+    the target and whose above end reaches it certifies every decision the
+    plain loop takes above it, both end probes included.  A visit with the
+    same key tests the old path's deepest bracket, backs off 1, 2, 4, ...
+    levels, bisects on depth between the deepest bracket that holds and the
+    shallowest that fails, and halves on from there.  The returned b and
+    count are the plain loop's; only the probes are fewer, and no point is
+    asked twice.  A skipped probe cannot raise: support depends on b and
+    the node dots alone, every point of the path was probed without error
+    earlier on this rule, and the window check cannot fire in the strong
+    regime and is absent in the critical one.  The mild window check has no
+    such argument, so mild visits (`ws.early` false) do not resume.
     """
-    below_over = ws.at_least(below, target, strict=True)
-    if not ws.at_least(above, target):
-        return above, 2, True
-    if below_over:
-        return below, 2, True
-    evals = 2
+    path = [] if path is None else path
+    key = (below, above, target, b_tol, strict)
+    answers = {}
+
+    def over(b):  # the plain loop's question at b, asked once
+        if b not in answers:
+            answers[b] = ws.at_least(b, target, b == key[0] or (strict and b != key[1]))
+        return answers[b]
+
+    def holds(bracket):
+        return not over(bracket[0]) and over(bracket[1])
+
+    nodes = [(below, above)]
+    if path and path[0] == key and ws.early:
+        old = path[1:]
+        good, bad, step = len(old) - 1, len(old), 1
+        while good > 0 and not holds(old[good]):
+            bad, good, step = good, max(good - step, 0), 2 * step
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            good, bad = (mid, bad) if holds(old[mid]) else (good, mid)
+        nodes = old[:good + 1]
+    if len(nodes) == 1:
+        below_over = over(below)
+        if below_over or not over(above):
+            path.clear()
+            return (below if over(above) else above), 2, True
+    below, above = nodes[-1]
     while abs(above - below) > b_tol:
         mid = 0.5 * (below + above)
         if mid == below or mid == above:
             break
-        evals += 1
-        if ws.at_least(mid, target, strict):
+        if over(mid):
             above = mid
         else:
             below = mid
-    return below, evals, False
+        nodes.append((below, above))
+    path[:] = [key, *nodes]
+    return below, len(nodes) + 1, False
 
 
 def _sweep_stage(
@@ -700,6 +744,7 @@ def _sweep_stage(
     increasing = state.regime.max_envelope
     cos_mins = _cosine_minima(rule, tgt)
     b = state.b.copy()
+    paths = [[] for _ in range(m)]  # each coordinate's last bisection path
 
     # checks every sheet's support on this rule; each later row of H is the
     # radii of a probed b_j whose support the probe has checked, and equals
@@ -728,7 +773,8 @@ def _sweep_stage(
             below, above = (lo, hi) if increasing else (hi, lo)
             ws.restrict()
             bj, evals, exhausted = _bisect_coordinate(
-                ws, below, above, target_j, tol.b_tol * float(tgt.norms[j]), not increasing
+                ws, below, above, target_j, tol.b_tol * float(tgt.norms[j]), not increasing,
+                paths[j],
             )
             b[j] = bj
             H[j] = ws.radii_row(bj)

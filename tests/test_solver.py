@@ -2,6 +2,7 @@
 the candidate-node coordinate energy, randomized solver invariants, and the
 dyadic refinement driver."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -453,6 +454,8 @@ class _StepWorkspace:
     at or below b (increasing) or at or above b (decreasing), and every
     probed b is recorded."""
 
+    early = True
+
     def __init__(self, steps, increasing):
         self.steps, self.increasing, self.probes = np.atleast_1d(steps), increasing, []
 
@@ -466,11 +469,32 @@ class _RecordingWorkspace:
     """A coordinate workspace whose probed b values are recorded."""
 
     def __init__(self, ws):
-        self.ws, self.probes = ws, []
+        self.ws, self.probes, self.early = ws, [], ws.early
 
     def at_least(self, b, target, strict=False):
         self.probes.append(b)
         return self.ws.at_least(b, target, strict)
+
+
+def _cold_bisection(ws, below, above, target, b_tol, strict):
+    """The bisection as it ran before visits resumed: both ends, then every
+    halving from the ends down; the reference for resumed visits."""
+    below_over = ws.at_least(below, target, strict=True)
+    if not ws.at_least(above, target):
+        return above, 2, True
+    if below_over:
+        return below, 2, True
+    evals = 2
+    while abs(above - below) > b_tol:
+        mid = 0.5 * (below + above)
+        if mid == below or mid == above:
+            break
+        evals += 1
+        if ws.at_least(mid, target, strict):
+            above = mid
+        else:
+            below = mid
+    return below, evals, False
 
 
 def _two_branch_bisection(ws, lo, hi, target, b_tol, increasing):
@@ -963,6 +987,189 @@ def test_begin_envelopes_equal_full_reductions(monkeypatch, kappa):
     assert [j for j, _ in visits[:6]] == [1, 2, 3, 1, 2, 3]
     # rows were rewritten between visits, so the cache had something to track
     assert any(not np.array_equal(a[1], b[1]) for a, b in zip(visits, visits[1:]))
+
+
+# ---------------------------------------------------------------------------
+# resumed bisection visits
+# ---------------------------------------------------------------------------
+
+def _warm_visit(path, old_probes, make_ws, *key):
+    """One `_bisect_coordinate` visit on `path`, checked against
+    `_cold_bisection` on a fresh workspace: the same result, no point asked
+    twice, every real probe on the old or the new cold path, and no path
+    left by an exhausted visit.  Returns the real and the cold probes."""
+    ws, cold = make_ws(), make_ws()
+    ref = _cold_bisection(cold, *key)
+    assert solver._bisect_coordinate(ws, *key, path) == ref
+    assert len(set(ws.probes)) == len(ws.probes)
+    assert set(ws.probes) <= set(old_probes) | set(cold.probes)
+    assert (not path) == ref[2]
+    return ws.probes, cold.probes
+
+
+def _changed_key(key, change):
+    """The key with its ends, target or `strict` changed (or kept)."""
+    below, above, target, b_tol, strict = key
+    if change == "ends":
+        return below, 2.0 * above - below, target, b_tol, strict
+    if change == "target":
+        return below, above, target + 1.0, b_tol, strict
+    if change == "strict":
+        return below, above, target, b_tol, not strict
+    return key
+
+
+@_PROPERTY
+@given(increasing=st.booleans(), b_tol=st.sampled_from([0.0, 1e-9]),
+       steps=st.lists(st.one_of(st.sampled_from([1.0, 1.25, 1.3, 1.5, 1.75, 2.0]),
+                                st.floats(0.9, 2.1)), min_size=1, max_size=4),
+       target=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+       shift=st.one_of(st.just(0.0), st.sampled_from([-0.25, 0.25, 0.5]), st.floats(-0.3, 0.3)),
+       change=st.sampled_from([None, None, "ends", "target", "strict"]))
+def test_warm_bisection_matches_cold_on_steps(increasing, b_tol, steps, target, shift, change):
+    # integer targets hit a step value exactly, where `strict` decides; a
+    # shift across a coarse midpoint (1.5, 1.25, 1.75) moves the crossing
+    # into another branch of the halving tree
+    key = ((1.0, 2.0) if increasing else (2.0, 1.0)) + (target, b_tol, not increasing)
+    path = []
+    old, cold = _warm_visit(path, [], lambda: _StepWorkspace(steps, increasing), *key)
+    assert old == cold  # nothing to resume from
+    moved = [s + shift for s in steps]
+    new_key = _changed_key(key, change)
+    kept = list(path)
+    new, cold = _warm_visit(path, old, lambda: _StepWorkspace(moved, increasing), *new_key)
+    if new_key != key or not kept:
+        assert new == cold  # a changed key or no path: a cold visit
+    elif shift == 0.0:
+        assert len(new) == 2  # the old deepest bracket holds
+
+
+@pytest.mark.parametrize("increasing", [True, False])
+def test_warm_bisection_resumes_at_adjacent_floats(increasing):
+    # b_tol = 0: 52 halvings to adjacent floats.  An unchanged crossing is
+    # certified by the old deepest bracket alone, one moved by 1e-12 by the
+    # first 40 or so brackets; one moved across the first midpoints costs
+    # the back-off on top of a cold visit, and still returns its result
+    key = ((1.0, 2.0) if increasing else (2.0, 1.0)) + (0.5, 0.0, not increasing)
+    path, cold = [], []
+    for step, least, most in ((1.3, 54, 54), (1.3, 2, 2), (1.3 + 1e-12, 15, 30), (1.6, 55, 80)):
+        new, cold = _warm_visit(path, cold, lambda: _StepWorkspace(step, increasing), *key)
+        assert len(cold) == 54 and len(path) == 1 + 53
+        assert least <= len(new) <= most
+
+
+@_PROPERTY
+@given(kappa=st.sampled_from(_REGIMES), j=st.integers(1, 4), hop=st.integers(1, 4),
+       scale=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)), fine=st.booleans(),
+       hit=st.booleans())
+def test_warm_bisection_matches_cold_on_workspaces(kappa, j, hop, scale, fine, hit):
+    # the solved state's targets, or G_j at the solution itself (an exact
+    # hit); between the two visits another row of H moves, which moves G_j
+    cfg, ws, (lo, hi) = _begin(kappa, j)
+    b_tol = cfg.tolerances.b_tol * float(cfg.targets.norms[j]) if fine else 0.0
+    ends = (lo, hi) if ws.is_max else (hi, lo)
+    target = float(cfg.targets.weights[j])
+    if hit:
+        target = ws.energy(_cold_bisection(ws, *ends, target, b_tol, not ws.is_max)[0])
+    key = ends + (target, b_tol, not ws.is_max)
+    path = []
+    _, cold = _warm_visit(path, [], lambda: _RecordingWorkspace(ws), *key)
+    other = (j + hop) % cfg.targets.count
+    row = ws.H[other].copy()
+    try:
+        ws.H[other] *= 1.0 + scale
+        ws.end_sweep()
+        ws.begin(j)
+        ws.restrict()
+        new, cold = _warm_visit(path, cold, lambda: _RecordingWorkspace(ws), *key)
+    finally:
+        ws.H[other] = row
+        ws.end_sweep()
+        ws.begin(j)
+        ws.restrict()
+    if not ws.early:
+        assert new == cold  # mild visits do not resume
+    elif scale == 0.0 and path:
+        assert len(new) == 2
+
+
+@pytest.mark.parametrize("kappa", _REGIMES)
+def test_warm_bisection_raises_where_cold_does(kappa):
+    # an end past the support raises before a path is kept, so no path has
+    # that key and every visit with it raises as the cold one does; a
+    # resumed visit only skips points probed without error on the same dots
+    for j in range(1, 5):
+        cfg, ws, (lo, hi) = _begin(kappa, j)
+        target = float(cfg.targets.weights[j])
+        b_tol = cfg.tolerances.b_tol * float(cfg.targets.norms[j])
+        ends = (lo, hi) if ws.is_max else (hi, lo)
+        good = ends + (target, b_tol, not ws.is_max)
+        bad = (ends[0], 2.0 * ends[1] - ends[0]) if ws.is_max else (2.0 * ends[0] - ends[1], ends[1])
+        bad += good[2:]
+        with pytest.raises(refractor.ConfigurationError) as cold:
+            _cold_bisection(ws, *bad)
+        path = []
+        for _ in range(2):
+            with pytest.raises(refractor.ConfigurationError) as warm:
+                solver._bisect_coordinate(ws, *bad, path)
+            assert str(warm.value) == str(cold.value) and path == []
+        solver._bisect_coordinate(ws, *good, path)
+        kept = list(path)
+        with pytest.raises(refractor.ConfigurationError) as warm:
+            solver._bisect_coordinate(ws, *bad, path)
+        assert str(warm.value) == str(cold.value) and path == kept
+        # mild probes may meet the Fresnel window check: they never resume
+        again = _RecordingWorkspace(ws)
+        solver._bisect_coordinate(again, *good, path)
+        assert (len(again.probes) == len(kept)) == (kappa == -0.5)
+
+
+def _count_probes(monkeypatch):
+    """Count real coordinate-energy probes while `counting[0]` is true."""
+    calls, counting = [0], [True]
+    at_least = solver._CoordinateWorkspace.at_least
+
+    def counted(ws, b, target, strict=False):
+        calls[0] += counting[0]
+        return at_least(ws, b, target, strict)
+
+    monkeypatch.setattr(solver._CoordinateWorkspace, "at_least", counted)
+    return calls, counting
+
+
+@pytest.mark.parametrize("run, resumes", [
+    *[(lambda kappa=kappa: solve_discrete(symmetric_pair_config(kappa)), None)
+      for kappa in _REGIMES],
+    (lambda: solve_discrete(solvable_config(-1.5, 10, seed=1027, level=5)), True),
+    (lambda: refine_radon(_disk_problem(level=7), levels=3), True),
+], ids=["pair-strong", "pair-mild", "pair-critical", "stiff", "radon"])
+def test_warm_bisection_keeps_whole_solves_identical(monkeypatch, run, resumes):
+    # every resumed visit against a cold re-run, and the report against a
+    # solve whose visits are all cold; the warm solve probes less
+    calls, counting = _count_probes(monkeypatch)
+    warm = solver._bisect_coordinate
+    monkeypatch.setattr(solver, "_bisect_coordinate",
+                        lambda ws, *key: _cold_bisection(ws, *key[:5]))
+    cold = run().to_dict()
+    cold_calls, calls[0] = calls[0], 0
+    resumed = []
+
+    def checked(ws, below, above, target, b_tol, strict, path):
+        resuming = bool(path) and path[0] == (below, above, target, b_tol, strict) and ws.early
+        got = warm(ws, below, above, target, b_tol, strict, path)
+        if resuming:
+            counting[0] = False
+            assert got == _cold_bisection(ws, below, above, target, b_tol, strict)
+            counting[0] = True
+            resumed.append(got)
+        return got
+
+    monkeypatch.setattr(solver, "_bisect_coordinate", checked)
+    assert json.dumps(run().to_dict()) == json.dumps(cold)
+    if "sweeps" in cold:
+        assert cold_calls == sum(c - 1 for s in cold["sweeps"] for c in s["bisection_evals"])
+    assert resumes in (None, bool(resumed))
+    assert calls[0] < cold_calls if resumed else calls[0] == cold_calls
 
 
 # ---------------------------------------------------------------------------
