@@ -709,8 +709,7 @@ def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,
             good, bad = (mid, bad) if holds(old[mid]) else (good, mid)
         nodes = old[:good + 1]
     if len(nodes) == 1:
-        below_over = over(below)
-        if below_over or not over(above):
+        if over(below) or not over(above):
             path.clear()
             return (below if over(above) else above), 2, True
     below, above = nodes[-1]
