@@ -180,9 +180,10 @@ def radius_from_dots(regime: Regime, kappa: float, p2: float, b: float, dots):
 
 
 def support_decided_by_extremes(regime: Regime, kappa: float, p2: float, b: float,
-                                d_max: float) -> bool:
+                                d_max: float):
     """Whether support_from_dots over dot products d <= d_max is all true
-    exactly when it is true at the smallest and the largest d.
+    exactly when it is true at the smallest and the largest d: a bool for a
+    float b, a bool array for an array of b.
 
     Rounding is monotone, so each computed test below is monotone in its
     input.  Strong: u = k^2 d - b grows with d, and the clip test is monotone
@@ -198,7 +199,7 @@ def support_decided_by_extremes(regime: Regime, kappa: float, p2: float, b: floa
     if regime is not Regime.MILD:
         return True
     k2 = kappa * kappa
-    return (1.0 - k2) * (b * b - k2 * p2) <= 0.0 or b - k2 * d_max >= 0.0
+    return ((1.0 - k2) * (b * b - k2 * p2) <= 0.0) | (b - k2 * d_max >= 0.0)
 
 
 def polar_radius(oval: OvalParams, x) -> float:

@@ -474,9 +474,9 @@ class _CoordinateWorkspace:
 
     Node x belongs to sheet j iff sheet j is within the tie band of the
     envelope and no lower-indexed sheet is: the lowest-index rule of the full
-    envelope assignment.  A cold bisection probes G_j some 45 times per
-    coordinate visit and a resumed one fewer (`_bisect_coordinate`), so
-    after `restrict` each probe looks only at candidate nodes.
+    envelope assignment.  A coordinate visit bisects G_j some 45 levels deep
+    but probes it only a few times (`_bisect_coordinate`), and after
+    `restrict` each probe looks only at candidate nodes.
     Three facts keep every probe bit-identical to a pass over all nodes.
 
     Superset.  Let `low` / `other` be the envelope of the lower-indexed / of
@@ -499,11 +499,12 @@ class _CoordinateWorkspace:
 
     Support.  `ovals.support_from_dots` decides support from d = x . P alone,
     and its computed mask holds on an interval of d (see
-    `ovals.support_decided_by_extremes`), so each probe tests it once, on the
-    smallest and the largest d as Python floats; a mild sheet that these two
-    cannot decide is tested on the full mask.  The candidates' radii then
-    come from `ovals.radius_from_dots` without a mask, and the Fresnel window
-    check runs on the owned nodes' cosines only: every other node's term is 0.
+    `ovals.support_decided_by_extremes`), so `supported` tests it on the
+    smallest and the largest d only, for one b or for an array of b with the
+    same bits; a mild sheet that these two cannot decide is tested on the
+    full mask.  The candidates' radii then come from
+    `ovals.radius_from_dots` without a mask, and the Fresnel window check
+    runs on the owned nodes' cosines only: every other node's term is 0.
 
     Early decisions.  A bisection only asks whether G_j(b) reaches a target
     (`at_least`).  Every term w f t is >= 0, and a float sum of n >= 0 terms,
@@ -513,13 +514,26 @@ class _CoordinateWorkspace:
     other terms are never computed.  The head is fixed before any term is:
     the candidates among the first nodes whose w f sums to twice the target,
     which decides the probes where sheet j owns most of the aperture.
-    Skipping terms also skips their Fresnel window checks, which cannot fire
-    there: the critical regime has none, and in the strong regime every probe
-    lies at least 1e-9 |P| below the aperture cut cap (`_coordinate_range`),
-    which keeps the discriminant >= kappa^2 (1e-9 |P|)^2 on every node, so
-    the refraction cosine exceeds 1/kappa by sqrt(disc) / (kappa^2 |z - P|)
-    > 1e-10, far beyond the check's 1e-12 slack, and t > 0.  Mild probes
-    keep the exact path.
+
+    The window check cannot fire on the search range, so neither the
+    skipped terms nor the points a predicted visit skips would raise there.
+    The critical regime has none.  Strong: every b lies at least 1e-9 |P|
+    below the aperture cut cap (`_coordinate_range`), which keeps the
+    discriminant >= kappa^2 (1e-9 |P|)^2 on every node, so the refraction
+    cosine exceeds 1/kappa by sqrt(disc) / (kappa^2 |z - P|) > 1e-10.  Mild:
+    for any point z = h x, c - kappa = (d - b(h)) / |z - P| with
+    b(h) = h + kappa |z - P| the parameter of the sheet through z, and every
+    b lies at least 1e-9 |P| below the least d; the computed radius moves
+    b(h) by a few ulp of the b scale only, so c - kappa > 1e-9 |P| / |z - P|
+    less that, > 1e-10.  Both margins are far beyond the check's 1e-12 slack
+    and the few-ulp rounding of the computed cosine.  Its upper end holds
+    because c <= 1 exactly (Cauchy-Schwarz) and the computed cosine is
+    within a few ulp of (|P| + h)^2 / |z - P|^2 (relative) of it, while
+    |z| + kappa |z - P| = b with |z| >= |P| - |z - P| keeps every sheet
+    point at |z - P| >= (|P| - b) / (1 - kappa) > (1 - cos_min) |P| / (1 -
+    kappa) from the target.
+    `test_search_ranges_keep_every_check_quiet` probes a dense b-grid of
+    every range on the criterion-5 fixtures' solved states.
     """
 
     def __init__(self, config: ProblemConfig, rule: QuadratureRule, H: np.ndarray, wf: np.ndarray):
@@ -532,7 +546,6 @@ class _CoordinateWorkspace:
         self.regime = regime = config.medium.regime
         self.is_max = regime.max_envelope
         self.lossless = regime.lossless
-        self.early = regime is not Regime.MILD
         # envelope of sheet rows and the value of an empty one
         self.env = np.maximum if self.is_max else np.minimum
         self.no_sheet = -np.inf if self.is_max else np.inf
@@ -594,14 +607,18 @@ class _CoordinateWorkspace:
             return (self.switch <= b + self.slack).nonzero()[0]
         return (self.switch >= b - self.slack).nonzero()[0]
 
+    def supported(self, b) -> bool:
+        """Whether sheet j is supported on every node at b, or at every b of
+        an array, wherever the smallest and the largest d decide it."""
+        args = (self.regime, self.kappa, self.p2, b)
+        return bool(np.all(ovals.support_decided_by_extremes(*args, self.d_max)
+                           & support_from_dots(*args, self.d_min)
+                           & support_from_dots(*args, self.d_max)))
+
     def _check_support(self, b: float):
         """Raise unless sheet j is supported on every node at b."""
-        args = (self.regime, self.kappa, self.p2, b)
-        if ovals.support_decided_by_extremes(*args, self.d_max):
-            ok = support_from_dots(*args, self.d_min) and support_from_dots(*args, self.d_max)
-        else:
-            ok = support_from_dots(*args, self.dots).all()
-        if not ok:
+        if not (self.supported(b)
+                or support_from_dots(self.regime, self.kappa, self.p2, b, self.dots).all()):
             raise ConfigurationError(f"sheet {self.j} left its support region at b={b}")
 
     def _terms(self, b: float, nodes) -> np.ndarray:
@@ -632,7 +649,7 @@ class _CoordinateWorkspace:
         nodes = self._nodes(b)
         n = len(nodes)
         cut = 0
-        if self.early and n >= _EARLY_MIN:
+        if n >= _EARLY_MIN:
             # the head: the candidates among the first nodes whose w f sums
             # to twice the target
             last = self.reach.searchsorted(2.0 * target)
@@ -648,13 +665,34 @@ class _CoordinateWorkspace:
         g = float(terms.sum())
         return g > target if strict else g >= target
 
+    def predict(self, b: float, g: float, target: float) -> float | None:
+        """The switch value at which G_j, equal to g at b, first crosses the
+        target as b moves toward it: the nodes switching on that side, nearest
+        first, each counted with its w f (Fresnel factors are left out, so a
+        prediction can miss; the visit's probes refute it then).  None when
+        they do not add up to the target."""
+        up = (g < target) == self.is_max
+        side = (self.switch > b) if up else (self.switch < b)
+        s, wf = self.switch[side], self.wf[side]
+        key = s if up else -s
+        need, n, k = abs(target - g), len(s), 16
+        while True:
+            near = np.argpartition(key, k - 1)[:k] if k < n else np.arange(n)
+            near = near[np.argsort(key[near])]
+            hit = int(np.cumsum(wf[near]).searchsorted(need))
+            if hit < len(near):
+                return float(s[near[hit]])
+            if k >= n:
+                return None
+            k *= 8
+
     def radii_row(self, b: float) -> np.ndarray:
         """Radii of sheet j at a probed b, whose support has been checked."""
         return ovals.radius_from_dots(self.regime, self.kappa, self.p2, b, self.dots)
 
 
 def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,
-                       target: float, b_tol: float, strict: bool, path: list | None = None):
+                       target: float, b_tol: float, strict: bool, start=None):
     """Drive the coordinate's energy to the target by bisection.
 
     The energy is a monotone step function of b that should lie under the
@@ -666,64 +704,54 @@ def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,
     weight of it).  Coordinates visited later in the sweep can still push
     this measure above its target.
 
-    Resuming.  `path`, replaced in place, holds the key (below, above,
-    target, b_tol, strict) of the coordinate's last visit and its nested
-    brackets, the ends first; an exhausted visit leaves it empty.  The
-    halving tree depends on the key alone.  Each point is asked what the
-    plain loop asks there: strict at the first below end, not strict at the
-    first above end, `strict` at every midpoint.  G_j is monotone in b (more
-    exactly, whether it reaches the target changes once on the range, which
-    the plain loop assumes too), so an old bracket whose below end misses
-    the target and whose above end reaches it certifies every decision the
-    plain loop takes above it, both end probes included.  A visit with the
-    same key tests the old path's deepest bracket, backs off 1, 2, 4, ...
-    levels, bisects on depth between the deepest bracket that holds and the
-    shallowest that fails, and halves on from there.  The returned b and
-    count are the plain loop's; only the probes are fewer, and no point is
-    asked twice.  A skipped probe cannot raise: support depends on b and
-    the node dots alone, every point of the path was probed without error
-    earlier on this rule, and the window check cannot fire in the strong
-    regime and is absent in the critical one.  The mild window check has no
-    such argument, so mild visits (`ws.early` false) do not resume.
+    Prediction.  `start` is (b, G_j(b)) at the visit's start; from it
+    `ws.predict` names the switch value s where G_j should cross the target.
+    The visit walks the plain loop's halving tree by arithmetic alone,
+    deciding each midpoint by its side of s, and probes four points only:
+    the two ends and the leaf's two ends, each asked what the plain loop
+    asks there (strict at `below`, not strict at `above`, `strict` at every
+    midpoint).  The plain loop assumes, as the solver does, that whether
+    G_j reaches the target changes once between the ends; every midpoint of
+    the walk lies at or beyond one end of the leaf, so if the ends and the
+    leaf hold, every decision of the plain loop is the walk's and the leaf
+    is its leaf.  The visit then returns the plain loop's b and count.  The
+    probes it skips cannot raise: `ws.supported` checks support at every
+    midpoint at once, and the window check cannot fire on the search range
+    (`_CoordinateWorkspace`).  Without a prediction, with a midpoint that
+    two nodes cannot decide, or when a probe refutes the walk, the plain
+    loop runs, reusing every answer.
     """
-    path = [] if path is None else path
-    key = (below, above, target, b_tol, strict)
     answers = {}
 
     def over(b):  # the plain loop's question at b, asked once
         if b not in answers:
-            answers[b] = ws.at_least(b, target, b == key[0] or (strict and b != key[1]))
+            answers[b] = ws.at_least(b, target, b == below or (strict and b != above))
         return answers[b]
 
-    def holds(bracket):
-        return not over(bracket[0]) and over(bracket[1])
+    def halve(decide):
+        """The plain loop's halving from the ends: its leaf and midpoints."""
+        lo, hi, mids = below, above, []
+        while abs(hi - lo) > b_tol:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            mids.append(mid)
+            if decide(mid):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi, mids
 
-    nodes = [(below, above)]
-    if path and path[0] == key and ws.early:
-        old = path[1:]
-        good, bad, step = len(old) - 1, len(old), 1
-        while good > 0 and not holds(old[good]):
-            bad, good, step = good, max(good - step, 0), 2 * step
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            good, bad = (mid, bad) if holds(old[mid]) else (good, mid)
-        nodes = old[:good + 1]
-    if len(nodes) == 1:
-        if over(below) or not over(above):
-            path.clear()
-            return (below if over(above) else above), 2, True
-    below, above = nodes[-1]
-    while abs(above - below) > b_tol:
-        mid = 0.5 * (below + above)
-        if mid == below or mid == above:
-            break
-        if over(mid):
-            above = mid
-        else:
-            below = mid
-        nodes.append((below, above))
-    path[:] = [key, *nodes]
-    return below, len(nodes) + 1, False
+    s = None if start is None else ws.predict(*start, target)
+    if s is not None:
+        lo, hi, mids = halve(lambda b: b >= s if above > below else b <= s)
+        if (ws.supported(np.array(mids)) and not over(lo) and over(hi)
+                and not over(below) and over(above)):
+            return lo, len(mids) + 2, False
+    if over(below) or not over(above):
+        return (below if over(above) else above), 2, True
+    lo, _, mids = halve(over)
+    return lo, len(mids) + 2, False
 
 
 def _sweep_stage(
@@ -743,7 +771,6 @@ def _sweep_stage(
     increasing = state.regime.max_envelope
     cos_mins = _cosine_minima(rule, tgt)
     b = state.b.copy()
-    paths = [[] for _ in range(m)]  # each coordinate's last bisection path
 
     # checks every sheet's support on this rule; each later row of H is the
     # radii of a probed b_j whose support the probe has checked, and equals
@@ -773,7 +800,7 @@ def _sweep_stage(
             ws.restrict()
             bj, evals, exhausted = _bisect_coordinate(
                 ws, below, above, target_j, tol.b_tol * float(tgt.norms[j]), not increasing,
-                paths[j],
+                (float(b[j]), g_now),
             )
             b[j] = bj
             H[j] = ws.radii_row(bj)

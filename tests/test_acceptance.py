@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import negrefractor as nr
-from negrefractor import cli, fresnel, ovals, refractor, solver
+from negrefractor import cli, detmath, fresnel, ovals, refractor, solver
 from negrefractor.solver import DiskPatch, RadonProblem, refine_radon
 from conftest import (
     DEG,
@@ -312,6 +312,38 @@ def test_criterion_6_brute_force_scan(solved_cases):
     ok = gap <= 2 * b_tol + step
     _line(6, ok, f"|b_solved - b_scan| = {gap:.3e} <= 2 b_tol + step = {2 * b_tol + step:.3e}")
     assert ok
+
+
+def test_search_ranges_keep_every_check_quiet(solved_cases):
+    # a predicted coordinate visit skips most of the plain bisection's
+    # probes, and a head of candidates decides many probes: neither may skip
+    # a check that would have fired.  On a dense b-grid of every search
+    # range, denser toward both ends, each sheet is supported on every node
+    # and its refraction cosines clear the window check's 1e-12 slack by far
+    worst_floor, worst_top = np.inf, -np.inf
+    for (kappa, m), (cfg, sol, _) in solved_cases.items():
+        rule = cfg.rule()
+        regime = cfg.medium.regime
+        cos_mins = solver._cosine_minima(rule, cfg.targets)
+        for j in range(1, m):
+            lo, hi = solver._coordinate_range(cfg, j, sol.min_rho, float(cos_mins[j]))
+            ends = [f * (hi - lo) for f in 10.0 ** -np.arange(2, 16)]
+            grid = np.concatenate([np.linspace(lo, hi, 17), lo + np.array(ends),
+                                   hi - np.array(ends)])
+            P = cfg.targets.points[j]
+            p2 = detmath.dot(P, P)
+            dots = detmath.dot_rows(rule.nodes, P)
+            for b in grid:
+                h, ok = ovals.radii_from_dots(kappa, p2, float(b), dots)
+                assert ok.all(), (kappa, m, j, b)
+                if regime.lossless:
+                    continue
+                c = refractor.refraction_cosine(p2, h, dots)
+                worst_floor = min(worst_floor, float(c.min()) - regime.window_floor(kappa))
+                worst_top = max(worst_top, float(c.max()) - 1.0)
+    print(f"least cosine above the window floor {worst_floor:.3e}; "
+          f"most above 1 {worst_top:.3e}")
+    assert worst_floor > 1e-10 and worst_top < 1e-14
 
 
 # ---------------------------------------------------------------------------

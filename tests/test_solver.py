@@ -451,34 +451,49 @@ def test_sweeps_evaluate_the_sheets_once_per_ladder_stage(monkeypatch):
 
 class _StepWorkspace:
     """Stand-in for the coordinate workspace: the energy counts the steps
-    at or below b (increasing) or at or above b (decreasing), and every
-    probed b is recorded."""
+    at or below b (increasing) or at or above b (decreasing), less the
+    `falls` counted the same way, and every probed b is recorded.  It
+    predicts `prediction` and is supported everywhere."""
 
-    early = True
-
-    def __init__(self, steps, increasing):
+    def __init__(self, steps, increasing, prediction=None, falls=()):
         self.steps, self.increasing, self.probes = np.atleast_1d(steps), increasing, []
+        self.prediction, self.falls = prediction, np.asarray(falls, dtype=float)
 
     def at_least(self, b, target, strict=False):
         self.probes.append(b)
-        g = float(np.sum(b >= self.steps if self.increasing else b <= self.steps))
+        hit = (lambda s: b >= s) if self.increasing else (lambda s: b <= s)
+        g = float(np.sum(hit(self.steps)) - np.sum(hit(self.falls)))
         return g > target if strict else g >= target
+
+    def predict(self, b, g, target):
+        return self.prediction
+
+    def supported(self, bs):
+        return True
 
 
 class _RecordingWorkspace:
-    """A coordinate workspace whose probed b values are recorded."""
+    """A coordinate workspace whose probed b values are recorded, and whose
+    prediction `shift` moves (None: the workspace's own)."""
 
-    def __init__(self, ws):
-        self.ws, self.probes, self.early = ws, [], ws.early
+    def __init__(self, ws, shift=None):
+        self.ws, self.probes, self.shift = ws, [], shift
 
     def at_least(self, b, target, strict=False):
         self.probes.append(b)
         return self.ws.at_least(b, target, strict)
 
+    def predict(self, b, g, target):
+        s = self.ws.predict(b, g, target)
+        return s if s is None or self.shift is None else self.shift(s)
+
+    def supported(self, bs):
+        return self.ws.supported(bs)
+
 
 def _cold_bisection(ws, below, above, target, b_tol, strict):
-    """The bisection as it ran before visits resumed: both ends, then every
-    halving from the ends down; the reference for resumed visits."""
+    """The plain bisection: both ends, then every halving from the ends
+    down; the reference for predicted visits."""
     below_over = ws.at_least(below, target, strict=True)
     if not ws.at_least(above, target):
         return above, 2, True
@@ -990,33 +1005,28 @@ def test_begin_envelopes_equal_full_reductions(monkeypatch, kappa):
 
 
 # ---------------------------------------------------------------------------
-# resumed bisection visits
+# predicted bisection visits
 # ---------------------------------------------------------------------------
 
-def _warm_visit(path, old_probes, make_ws, *key):
-    """One `_bisect_coordinate` visit on `path`, checked against
-    `_cold_bisection` on a fresh workspace: the same result, no point asked
-    twice, every real probe on the old or the new cold path, and no path
-    left by an exhausted visit.  Returns the real and the cold probes."""
+def _predicted_visit(make_ws, key, start=(0.0, 0.0)):
+    """One `_bisect_coordinate` visit from `start`, checked against
+    `_cold_bisection` on a fresh workspace: the same b, count and exhausted
+    flag, and no point asked twice.  Returns the real and the cold probes
+    and the exhausted flag."""
     ws, cold = make_ws(), make_ws()
     ref = _cold_bisection(cold, *key)
-    assert solver._bisect_coordinate(ws, *key, path) == ref
+    assert solver._bisect_coordinate(ws, *key, start) == ref
     assert len(set(ws.probes)) == len(ws.probes)
-    assert set(ws.probes) <= set(old_probes) | set(cold.probes)
-    assert (not path) == ref[2]
-    return ws.probes, cold.probes
+    return ws.probes, cold.probes, ref[2]
 
 
-def _changed_key(key, change):
-    """The key with its ends, target or `strict` changed (or kept)."""
-    below, above, target, b_tol, strict = key
-    if change == "ends":
-        return below, 2.0 * above - below, target, b_tol, strict
-    if change == "target":
-        return below, above, target + 1.0, b_tol, strict
-    if change == "strict":
-        return below, above, target, b_tol, not strict
-    return key
+def _crossing_step(steps, increasing, target, strict):
+    """The step at which the count of steps passed reaches the target (exceeds
+    it if strict) as b moves from below to above (an infinite b if it starts
+    there); None if it never does."""
+    order = [-math.inf if increasing else math.inf] + sorted(steps, reverse=not increasing)
+    need = math.floor(target) + 1 if strict else math.ceil(target)
+    return order[need] if need < len(order) else None
 
 
 @_PROPERTY
@@ -1024,104 +1034,106 @@ def _changed_key(key, change):
        steps=st.lists(st.one_of(st.sampled_from([1.0, 1.25, 1.3, 1.5, 1.75, 2.0]),
                                 st.floats(0.9, 2.1)), min_size=1, max_size=4),
        target=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
-       shift=st.one_of(st.just(0.0), st.sampled_from([-0.25, 0.25, 0.5]), st.floats(-0.3, 0.3)),
-       change=st.sampled_from([None, None, "ends", "target", "strict"]))
-def test_warm_bisection_matches_cold_on_steps(increasing, b_tol, steps, target, shift, change):
+       kind=st.sampled_from(["right", "wrong", "absent"]), wrong=st.floats(0.5, 2.5))
+def test_predicted_bisection_matches_cold_on_steps(increasing, b_tol, steps, target, kind, wrong):
     # integer targets hit a step value exactly, where `strict` decides; a
-    # shift across a coarse midpoint (1.5, 1.25, 1.75) moves the crossing
-    # into another branch of the halving tree
+    # wrong prediction may still fall in the right leaf
     key = ((1.0, 2.0) if increasing else (2.0, 1.0)) + (target, b_tol, not increasing)
-    path = []
-    old, cold = _warm_visit(path, [], lambda: _StepWorkspace(steps, increasing), *key)
-    assert old == cold  # nothing to resume from
-    moved = [s + shift for s in steps]
-    new_key = _changed_key(key, change)
-    kept = list(path)
-    new, cold = _warm_visit(path, old, lambda: _StepWorkspace(moved, increasing), *new_key)
-    if new_key != key or not kept:
-        assert new == cold  # a changed key or no path: a cold visit
-    elif shift == 0.0:
-        assert len(new) == 2  # the old deepest bracket holds
+    right = _crossing_step(steps, increasing, target, not increasing)
+    prediction = {"right": right, "wrong": wrong, "absent": None}[kind]
+    new, cold, exhausted = _predicted_visit(
+        lambda: _StepWorkspace(steps, increasing, prediction), key)
+    if kind == "absent":
+        assert new == cold
+    elif kind == "right" and not exhausted:
+        assert len(new) <= 4 and set(new) <= set(cold)
 
 
 @pytest.mark.parametrize("increasing", [True, False])
-def test_warm_bisection_resumes_at_adjacent_floats(increasing):
-    # b_tol = 0: 52 halvings to adjacent floats.  An unchanged crossing is
-    # certified by the old deepest bracket alone, one moved by 1e-12 by the
-    # first 40 or so brackets; one moved across the first midpoints costs
-    # the back-off on top of a cold visit, and still returns its result
+@pytest.mark.parametrize("target, exhausted", [(1.0, False), (0.5, False), (2.0, True), (2.5, True)])
+def test_predicted_bisection_matches_cold_past_the_peak(increasing, target, exhausted):
+    # G rises over 1.1, 1.2, 1.3 to 3 and falls over 1.6, 1.7 to 1 at the
+    # far end (mirrored when decreasing): a target at most G(above) is met on
+    # the rise, one between G(above) and the peak exhausts the cold loop at
+    # `above`, and only the probe of `above` refutes the prediction there
+    steps, falls = [1.1, 1.2, 1.3], [1.6, 1.7]
+    if not increasing:
+        steps, falls = [3.0 - s for s in steps], [3.0 - s for s in falls]
+    key = ((1.0, 2.0) if increasing else (2.0, 1.0)) + (target, 1e-9, not increasing)
+    prediction = _crossing_step(steps, increasing, target, not increasing)
+    new, _, flag = _predicted_visit(
+        lambda: _StepWorkspace(steps, increasing, prediction, falls), key)
+    assert flag == exhausted and len(new) == 4
+
+
+@pytest.mark.parametrize("increasing", [True, False])
+def test_predicted_bisection_certifies_adjacent_floats(increasing):
+    # b_tol = 0: 52 halvings to adjacent floats, certified by four probes
+    # when the prediction is the step; one 1e-12 off walks into another leaf,
+    # which its probes refute, and the plain loop takes over
     key = ((1.0, 2.0) if increasing else (2.0, 1.0)) + (0.5, 0.0, not increasing)
-    path, cold = [], []
-    for step, least, most in ((1.3, 54, 54), (1.3, 2, 2), (1.3 + 1e-12, 15, 30), (1.6, 55, 80)):
-        new, cold = _warm_visit(path, cold, lambda: _StepWorkspace(step, increasing), *key)
-        assert len(cold) == 54 and len(path) == 1 + 53
-        assert least <= len(new) <= most
+    for prediction, probes in ((1.3, 4), (1.3 + 1e-12, 4 + 54 - 2)):
+        new, cold, _ = _predicted_visit(lambda: _StepWorkspace(1.3, increasing, prediction), key)
+        assert len(cold) == 54 and len(new) <= probes
 
 
 @_PROPERTY
-@given(kappa=st.sampled_from(_REGIMES), j=st.integers(1, 4), hop=st.integers(1, 4),
-       scale=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)), fine=st.booleans(),
-       hit=st.booleans())
-def test_warm_bisection_matches_cold_on_workspaces(kappa, j, hop, scale, fine, hit):
-    # the solved state's targets, or G_j at the solution itself (an exact
-    # hit); between the two visits another row of H moves, which moves G_j
+@given(kappa=st.sampled_from(_REGIMES), j=st.integers(1, 4), u=st.floats(0.0, 1.0),
+       fine=st.booleans(), hit=st.booleans(),
+       shift=st.one_of(st.none(), st.floats(-1e-3, 1e-3), st.sampled_from([-1e-15, 1e-15])))
+def test_predicted_bisection_matches_cold_on_workspaces(kappa, j, u, fine, hit, shift):
+    # the solved state's targets, or G_j at a cold solution (an exact hit);
+    # the visit starts anywhere on the range, and its prediction is the
+    # workspace's own or moved relative to the range
     cfg, ws, (lo, hi) = _begin(kappa, j)
     b_tol = cfg.tolerances.b_tol * float(cfg.targets.norms[j]) if fine else 0.0
     ends = (lo, hi) if ws.is_max else (hi, lo)
     target = float(cfg.targets.weights[j])
     if hit:
         target = ws.energy(_cold_bisection(ws, *ends, target, b_tol, not ws.is_max)[0])
-    key = ends + (target, b_tol, not ws.is_max)
-    path = []
-    _, cold = _warm_visit(path, [], lambda: _RecordingWorkspace(ws), *key)
-    other = (j + hop) % cfg.targets.count
-    row = ws.H[other].copy()
-    try:
-        ws.H[other] *= 1.0 + scale
-        ws.end_sweep()
-        ws.begin(j)
-        ws.restrict()
-        new, cold = _warm_visit(path, cold, lambda: _RecordingWorkspace(ws), *key)
-    finally:
-        ws.H[other] = row
-        ws.end_sweep()
-        ws.begin(j)
-        ws.restrict()
-    if not ws.early:
-        assert new == cold  # mild visits do not resume
-    elif scale == 0.0 and path:
-        assert len(new) == 2
+    start = min(max(lo + u * (hi - lo), lo), hi)
+    moved = None if shift is None else (lambda s: s + shift * (hi - lo))
+    _predicted_visit(lambda: _RecordingWorkspace(ws, moved),
+                     ends + (target, b_tol, not ws.is_max), (start, ws.energy(start)))
+
+
+def test_predictions_hit_on_solved_workspaces():
+    # restarted at its own solution, every coordinate of every regime is
+    # certified by its four probes, at the solver's b_tol and at the radon
+    # benchmark's; at b_tol = 0 the leaf is two adjacent floats, and the
+    # crossing node's switch value may lie an ulp on the start's other side
+    for kappa in _REGIMES:
+        for j in range(1, 5):
+            cfg, ws, (lo, hi) = _begin(kappa, j)
+            ends = (lo, hi) if ws.is_max else (hi, lo)
+            p = float(cfg.targets.norms[j])
+            for b_tol in (cfg.tolerances.b_tol * p, 1e-13 * p):
+                key = ends + (float(cfg.targets.weights[j]), b_tol, not ws.is_max)
+                b = float(_cold_bisection(ws, *key)[0])
+                new, cold, _ = _predicted_visit(lambda: _RecordingWorkspace(ws), key,
+                                                (b, ws.energy(b)))
+                assert len(new) == 4 and len(cold) > 30, (kappa, j, b_tol)
 
 
 @pytest.mark.parametrize("kappa", _REGIMES)
-def test_warm_bisection_raises_where_cold_does(kappa):
-    # an end past the support raises before a path is kept, so no path has
-    # that key and every visit with it raises as the cold one does; a
-    # resumed visit only skips points probed without error on the same dots
+def test_predicted_bisection_raises_where_cold_does(kappa):
+    # an end past the support raises in the cold loop; a predicted visit
+    # raises the same error, whatever its prediction
     for j in range(1, 5):
         cfg, ws, (lo, hi) = _begin(kappa, j)
         target = float(cfg.targets.weights[j])
         b_tol = cfg.tolerances.b_tol * float(cfg.targets.norms[j])
         ends = (lo, hi) if ws.is_max else (hi, lo)
-        good = ends + (target, b_tol, not ws.is_max)
         bad = (ends[0], 2.0 * ends[1] - ends[0]) if ws.is_max else (2.0 * ends[0] - ends[1], ends[1])
-        bad += good[2:]
+        bad += (target, b_tol, not ws.is_max)
         with pytest.raises(refractor.ConfigurationError) as cold:
             _cold_bisection(ws, *bad)
-        path = []
-        for _ in range(2):
-            with pytest.raises(refractor.ConfigurationError) as warm:
-                solver._bisect_coordinate(ws, *bad, path)
-            assert str(warm.value) == str(cold.value) and path == []
-        solver._bisect_coordinate(ws, *good, path)
-        kept = list(path)
-        with pytest.raises(refractor.ConfigurationError) as warm:
-            solver._bisect_coordinate(ws, *bad, path)
-        assert str(warm.value) == str(cold.value) and path == kept
-        # mild probes may meet the Fresnel window check: they never resume
-        again = _RecordingWorkspace(ws)
-        solver._bisect_coordinate(again, *good, path)
-        assert (len(again.probes) == len(kept)) == (kappa == -0.5)
+        start = 0.5 * (lo + hi)
+        for shift in (None, lambda s: s + (hi - lo), lambda s: s - (hi - lo)):
+            with pytest.raises(refractor.ConfigurationError) as got:
+                solver._bisect_coordinate(_RecordingWorkspace(ws, shift), *bad,
+                                          (start, ws.energy(start)))
+            assert str(got.value) == str(cold.value)
 
 
 def _count_probes(monkeypatch):
@@ -1137,39 +1149,37 @@ def _count_probes(monkeypatch):
     return calls, counting
 
 
-@pytest.mark.parametrize("run, resumes", [
-    *[(lambda kappa=kappa: solve_discrete(symmetric_pair_config(kappa)), None)
+@pytest.mark.parametrize("run, share", [
+    *[(lambda kappa=kappa: solve_discrete(symmetric_pair_config(kappa)), 0.5)
       for kappa in _REGIMES],
-    (lambda: solve_discrete(solvable_config(-1.5, 10, seed=1027, level=5)), True),
-    (lambda: refine_radon(_disk_problem(level=7), levels=3), True),
+    (lambda: solve_discrete(solvable_config(-1.5, 10, seed=1027, level=5)), 0.5),
+    (lambda: refine_radon(_disk_problem(level=7), levels=3), 0.25),
 ], ids=["pair-strong", "pair-mild", "pair-critical", "stiff", "radon"])
-def test_warm_bisection_keeps_whole_solves_identical(monkeypatch, run, resumes):
-    # every resumed visit against a cold re-run, and the report against a
-    # solve whose visits are all cold; the warm solve probes less
+def test_predicted_bisection_keeps_whole_solves_identical(monkeypatch, run, share):
+    # every predicted visit against a cold re-run, and the report against a
+    # solve whose visits are all cold; the real probes are a fraction of the
+    # counted ones, so the predictions cannot stop hitting unnoticed
     calls, counting = _count_probes(monkeypatch)
-    warm = solver._bisect_coordinate
+    predicted = solver._bisect_coordinate
     monkeypatch.setattr(solver, "_bisect_coordinate",
                         lambda ws, *key: _cold_bisection(ws, *key[:5]))
     cold = run().to_dict()
     cold_calls, calls[0] = calls[0], 0
-    resumed = []
+    visits = []
 
-    def checked(ws, below, above, target, b_tol, strict, path):
-        resuming = bool(path) and path[0] == (below, above, target, b_tol, strict) and ws.early
-        got = warm(ws, below, above, target, b_tol, strict, path)
-        if resuming:
-            counting[0] = False
-            assert got == _cold_bisection(ws, below, above, target, b_tol, strict)
-            counting[0] = True
-            resumed.append(got)
+    def checked(ws, below, above, target, b_tol, strict, start):
+        got = predicted(ws, below, above, target, b_tol, strict, start)
+        counting[0] = False
+        assert got == _cold_bisection(ws, below, above, target, b_tol, strict)
+        counting[0] = True
+        visits.append(got)
         return got
 
     monkeypatch.setattr(solver, "_bisect_coordinate", checked)
     assert json.dumps(run().to_dict()) == json.dumps(cold)
     if "sweeps" in cold:
         assert cold_calls == sum(c - 1 for s in cold["sweeps"] for c in s["bisection_evals"])
-    assert resumes in (None, bool(resumed))
-    assert calls[0] < cold_calls if resumed else calls[0] == cold_calls
+    assert visits and calls[0] < share * cold_calls
 
 
 # ---------------------------------------------------------------------------
