@@ -1006,6 +1006,10 @@ def test_begin_envelopes_equal_full_reductions(monkeypatch, kappa):
 
 # ---------------------------------------------------------------------------
 # predicted bisection visits
+#
+# A warm visit is one `_bisect_coordinate` makes from the sweep's start
+# (b_j, G_j(b_j)) and the crossing it predicts; a cold one is the plain loop,
+# kept here as `_cold_bisection`.
 # ---------------------------------------------------------------------------
 
 def _predicted_visit(make_ws, key, start=(0.0, 0.0)):
@@ -1116,7 +1120,7 @@ def test_predictions_hit_on_solved_workspaces():
 
 
 @pytest.mark.parametrize("kappa", _REGIMES)
-def test_predicted_bisection_raises_where_cold_does(kappa):
+def test_warm_bisection_raises_where_cold_does(kappa):
     # an end past the support raises in the cold loop; a predicted visit
     # raises the same error, whatever its prediction
     for j in range(1, 5):
@@ -1155,7 +1159,7 @@ def _count_probes(monkeypatch):
     (lambda: solve_discrete(solvable_config(-1.5, 10, seed=1027, level=5)), 0.5),
     (lambda: refine_radon(_disk_problem(level=7), levels=3), 0.25),
 ], ids=["pair-strong", "pair-mild", "pair-critical", "stiff", "radon"])
-def test_predicted_bisection_keeps_whole_solves_identical(monkeypatch, run, share):
+def test_warm_bisection_keeps_whole_solves_identical(monkeypatch, run, share):
     # every predicted visit against a cold re-run, and the report against a
     # solve whose visits are all cold; the real probes are a fraction of the
     # counted ones, so the predictions cannot stop hitting unnoticed
