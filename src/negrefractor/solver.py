@@ -3,9 +3,11 @@ delivers the prescribed energy to every target.
 
 The anchor target (index 0) keeps a fixed parameter b1 and absorbs the energy
 surplus left over by Fresnel reflection.  For every other target, the energy
-G_j responds monotonically to its own parameter b_j (strong regime: max
+G_j responds to its own parameter b_j in one sense (strong regime: max
 envelope, G_j increasing; mild/critical: min envelope, G_j decreasing), so a
-Gauss-Seidel sweep of per-coordinate bisections drives G_j -> g_j.
+Gauss-Seidel sweep of per-coordinate bisections drives G_j -> g_j.  A strong
+G_j falls past a peak, where sheet j owns nearly the whole aperture and its
+Fresnel transmittance drops; the solver assumes every target lies below it.
 
 A dyadic refinement driver approximates a continuous target density by atom
 sets that halve in diameter per level, re-solving at each level; the solved
@@ -133,9 +135,8 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
     numbers.  The a-priori strong-regime anchor window is reported as a
     warning when violated, because that window is empty for every geometry
     (its constant uses a sphere-wide radius bound where only the aperture
-    restriction matters); the operational anchor checks (admissibility,
-    aperture coverage, verified inactive initialization) are enforced
-    instead.
+    matters); the operational anchor checks (admissibility, aperture
+    coverage, verified inactive initialization) are enforced instead.
     """
     rule = rule or config.rule()
     med, tgt = config.medium, config.targets
@@ -475,27 +476,30 @@ class _CoordinateWorkspace:
     Node x belongs to sheet j iff sheet j is within the tie band of the
     envelope and no lower-indexed sheet is: the lowest-index rule of the full
     envelope assignment.  A coordinate visit bisects G_j some 45 levels deep
-    but probes it only a few times (`_bisect_coordinate`), and after
-    `restrict` each probe looks only at candidate nodes.
+    but probes it only a few times (`_bisect_coordinate`); every probe, the
+    start energy included, looks only at the candidate nodes of `begin`.
     Three facts keep every probe bit-identical to a pass over all nodes.
 
     Superset.  Let `low` / `other` be the envelope of the lower-indexed / of
     all other sheets, c = 1 - TIE_TOL (max envelope) or 1 + TIE_TOL (min),
     and r* = other c where that lies above `low` (min: below), else low / c.
     Rounding is monotone, so a node owned at b has h(x) >= r* (1 - 2 eps)
-    (min: h <= r* (1 + 2 eps)).  The sheet equation is explicit in b: sheet
-    j reaches r* along x at the switch parameter s(x) = r* + kappa |r* x - P|
-    (critical: r* - |r* x - P|), and h grows with b, so x can be owned at b
-    only if s(x) <= b + slack (min: s(x) >= b - slack).  The strong relation
-    b(h) turns back only past the support rim, which h(x) never reaches on
-    the search range, so a node whose r* lies beyond the turn is never owned
-    and whether it is a candidate does not matter.  `slack` is 1e-7 of the b
-    scale: far above the rounding of s and the b-space error of the computed
-    radius (a few ulp of that scale, also where the discriminant is clipped
-    at a rim-tangent ray), and far below the spread of the switch values, so
-    it adds next to no nodes.  The owned nodes, their radii and their
-    Fresnel terms are computed elementwise from the same values, in node
-    order, so the sum sees the same array and returns the same bits.
+    (min: h <= r* (1 + 2 eps)).  Along x the sheet through radius h has
+    parameter b(h) = h + kappa |h x - P| (critical: h - |h x - P|), and
+    sheet j reaches r* at the switch parameter s(x) = b(r*).  The mild and
+    critical b(h) grow with h; the strong one grows up to the support rim
+    along x and falls past it, and a supported radius is the smaller root,
+    on the rising side.  So at any b at which sheet j is supported on every
+    node (`_check_support` runs first), on the search range or off it as a
+    parked or carried-over start b_j may be, x can be owned only if
+    s(x) <= b + slack (min: s(x) >= b - slack); an r* past the rim is then
+    within a few ulp of it, where b(h) is flat.  `slack` is 1e-7 of the b
+    scale: far above the rounding of s and the b-space error of the
+    computed radius (a few ulp of that scale, also where the discriminant is
+    clipped at a rim-tangent ray), and far below the spread of the switch
+    values, so it adds next to no nodes.  The owned nodes, their radii and
+    their Fresnel terms are computed elementwise from the same values, in
+    node order, so the sum sees the same array and returns the same bits.
 
     Support.  `ovals.support_from_dots` decides support from d = x . P alone,
     and its computed mask holds on an interval of d (see
@@ -559,7 +563,7 @@ class _CoordinateWorkspace:
 
     def begin(self, j: int):
         """Envelopes of the lower-indexed (`low`), the higher-indexed
-        (`high`) and all other (`other`) sheets.
+        (`high`) and all other (`other`) sheets, and the switch parameters.
 
         A sweep visits j = 1, 2, ... in order and rewrites only row j during
         visit j, so `low` folds in the previous visit's final row, and the
@@ -586,10 +590,6 @@ class _CoordinateWorkspace:
         self.dots = detmath.dot_rows(self.rule.nodes, self.P)
         self.d_min, self.d_max = float(self.dots.min()), float(self.dots.max())
         self.slack = 1e-7 * (1.0 - self.kappa) * math.sqrt(self.p2)
-        self.switch = None
-
-    def restrict(self):
-        """Compute the switch parameters; later probes run on candidates."""
         if self.is_max:
             edge = self.other * (1.0 - TIE_TOL)
             r = np.where(edge > self.low, edge, self.low / (1.0 - TIE_TOL))
@@ -600,9 +600,7 @@ class _CoordinateWorkspace:
         self.switch = r - dist if self.lossless else r + self.kappa * dist
 
     def _nodes(self, b: float):
-        """Candidate nodes at b, in node order (all nodes before `restrict`)."""
-        if self.switch is None:
-            return slice(None)
+        """Candidate nodes at b, in node order: a superset of those owned."""
         if self.is_max:
             return (self.switch <= b + self.slack).nonzero()[0]
         return (self.switch >= b - self.slack).nonzero()[0]
@@ -644,7 +642,7 @@ class _CoordinateWorkspace:
         return float(self._terms(b, self._nodes(b)).sum())
 
     def at_least(self, b: float, target: float, strict: bool = False) -> bool:
-        """Whether G_j(b) >= target (> if strict); needs `restrict` first."""
+        """Whether G_j(b) >= target (> if strict), on the candidates."""
         self._check_support(b)
         nodes = self._nodes(b)
         n = len(nodes)
@@ -695,14 +693,15 @@ def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,
                        target: float, b_tol: float, strict: bool, start=None):
     """Drive the coordinate's energy to the target by bisection.
 
-    The energy is a monotone step function of b that should lie under the
-    target at `below` and reach it at `above` (exceed it if strict), in
-    either order of the two ends.  Returns (b, evaluation count, exhausted
-    flag).  When the target is unreachable between the ends, the end that
-    misses it is returned with exhausted=True.  Otherwise the returned point
-    is the feasible side of the crossing (energy <= target, within one node
-    weight of it).  Coordinates visited later in the sweep can still push
-    this measure above its target.
+    The energy is a step function of b, monotone but for a strong G_j's fall
+    past its peak (module docstring), that should lie under the target at
+    `below` and reach it at `above` (exceed it if strict), in either order
+    of the two ends.  Returns (b, evaluation count, exhausted flag).  When
+    the target is unreachable between the ends, the end that misses it is
+    returned with exhausted=True.  Otherwise the returned point is the
+    feasible side of the crossing (energy <= target, within one node weight
+    of it).  Coordinates visited later in the sweep can still push this
+    measure above its target.
 
     Prediction.  `start` is (b, G_j(b)) at the visit's start; from it
     `ws.predict` names the switch value s where G_j should cross the target.
@@ -710,16 +709,17 @@ def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,
     deciding each midpoint by its side of s, and probes four points only:
     the two ends and the leaf's two ends, each asked what the plain loop
     asks there (strict at `below`, not strict at `above`, `strict` at every
-    midpoint).  The plain loop assumes, as the solver does, that whether
-    G_j reaches the target changes once between the ends; every midpoint of
-    the walk lies at or beyond one end of the leaf, so if the ends and the
-    leaf hold, every decision of the plain loop is the walk's and the leaf
-    is its leaf.  The visit then returns the plain loop's b and count.  The
-    probes it skips cannot raise: `ws.supported` checks support at every
-    midpoint at once, and the window check cannot fire on the search range
-    (`_CoordinateWorkspace`).  Without a prediction, with a midpoint that
-    two nodes cannot decide, or when a probe refutes the walk, the plain
-    loop runs, reusing every answer.
+    midpoint).  The plain loop assumes, as the solver does, that whether G_j
+    reaches the target changes once between the ends; every midpoint of the
+    walk lies at or beyond one end of the leaf, so if the ends and the leaf
+    hold, every decision of the plain loop is the walk's and the leaf is its
+    leaf.  The visit then returns the plain loop's b and count.  For a
+    target between G_j(above) and a strong peak the answer changes twice,
+    and the probe of `above` refutes the walk.  The probes it skips cannot
+    raise: `ws.supported` checks support at every midpoint at once, and the
+    window check cannot fire on the search range (`_CoordinateWorkspace`).
+    Without a prediction, with a midpoint that two nodes cannot decide, or
+    when a probe refutes the walk, the plain loop runs, reusing every answer.
     """
     answers = {}
 
@@ -797,7 +797,6 @@ def _sweep_stage(
                 continue
             lo, hi = _coordinate_range(config, j, C1_est, float(cos_mins[j]))
             below, above = (lo, hi) if increasing else (hi, lo)
-            ws.restrict()
             bj, evals, exhausted = _bisect_coordinate(
                 ws, below, above, target_j, tol.b_tol * float(tgt.norms[j]), not increasing,
                 (float(b[j]), g_now),

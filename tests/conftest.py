@@ -1,10 +1,12 @@
 """Shared fixtures: admissible-parameter samplers, solvable configurations,
-closed-form sheet extremes and the field-trace-audit chain."""
+closed-form sheet extremes, the all-node coordinate energy and the
+field-trace-audit chain."""
 
 import numpy as np
 import pytest
 
 import negrefractor as nr
+from negrefractor import ovals, refractor
 from negrefractor.ovals import Regime
 from negrefractor.raytrace import energy_audit, trace_field
 from negrefractor.refractor import evaluate_field
@@ -174,6 +176,29 @@ def sheet_extremes(kappa, p, b):
                 (b - p) / (kappa - 1.0), (h_max - b) / (-kappa))
     return ((b - kappa * p) / (1.0 - kappa), (b - kappa * p) / (1.0 + kappa),
             (p - b) / (1.0 - kappa), float(np.sqrt((p * p - b * b) / (1.0 - kappa * kappa))))
+
+
+def reference_energy(ws, b):
+    """G_j(b) of a begun `solver._CoordinateWorkspace`, summed over every
+    node: the coordinate energy as a single pass over the whole rule, which
+    the candidate-node path must reproduce."""
+    h, ok = ovals.radii_from_dots(ws.kappa, ws.p2, b, ws.dots)
+    if not np.all(ok):
+        raise refractor.ConfigurationError(f"sheet {ws.j} left its support region at b={b}")
+    if ws.is_max:
+        T = np.maximum(h, ws.other) * (1.0 - refractor.TIE_TOL)
+        mine = (h >= T) & (ws.low < T)
+    else:
+        T = np.minimum(h, ws.other) * (1.0 + refractor.TIE_TOL)
+        mine = (h <= T) & (ws.low > T)
+    if not np.any(mine):
+        return 0.0
+    if ws.lossless:
+        return float(np.sum(ws.wf[mine]))
+    hm, dm = h[mine], ws.dots[mine]
+    dist = np.sqrt(np.maximum(ws.p2 - 2.0 * hm * dm + hm * hm, 0.0))
+    t = nr.fresnel.transmittance((dm - hm) / dist, ws.config.medium)
+    return float(np.sum(ws.wf[mine] * t))
 
 
 def audit_state(state, rule, density):

@@ -4,6 +4,7 @@ dyadic refinement driver."""
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -28,7 +29,7 @@ from negrefractor.solver import (
     validate,
     verify_weak,
 )
-from conftest import CAP30, DEG, solvable_config, symmetric_pair_config
+from conftest import CAP30, DEG, reference_energy, solvable_config, symmetric_pair_config
 
 
 def _replace(cfg, **kw):
@@ -328,7 +329,8 @@ def test_solve_matches_brute_force_scan(strong_pair_solution):
     lo, hi = solver._coordinate_range(cfg, 1, sol.min_rho, cos_min)
     step = 1e-4 * (hi - lo)
     grid = lo + step * np.arange(int((hi - lo) / step) + 1)
-    errs = np.array([abs(ws.energy(float(b)) - cfg.targets.weights[1]) for b in grid])
+    # a pass over every node per point, as in criterion 6
+    errs = np.array([abs(reference_energy(ws, float(b)) - cfg.targets.weights[1]) for b in grid])
     b_scan = float(grid[int(np.argmin(errs))])
     b_tol = cfg.tolerances.b_tol * float(cfg.targets.norms[1])
     assert abs(sol.b[1] - b_scan) <= 2 * b_tol + step
@@ -817,28 +819,6 @@ _PROPERTY = settings(
 _REGIMES = (-1.5, -0.5, -1.0)
 
 
-def _reference_energy(ws, b):
-    """G_j(b) summed over every node: the coordinate energy as a single pass
-    over the whole rule, which the candidate-node path must reproduce."""
-    h, ok = ovals.radii_from_dots(ws.kappa, ws.p2, b, ws.dots)
-    if not np.all(ok):
-        raise refractor.ConfigurationError(f"sheet {ws.j} left its support region at b={b}")
-    if ws.is_max:
-        T = np.maximum(h, ws.other) * (1.0 - refractor.TIE_TOL)
-        mine = (h >= T) & (ws.low < T)
-    else:
-        T = np.minimum(h, ws.other) * (1.0 + refractor.TIE_TOL)
-        mine = (h <= T) & (ws.low > T)
-    if not np.any(mine):
-        return 0.0
-    if ws.lossless:
-        return float(np.sum(ws.wf[mine]))
-    hm, dm = h[mine], ws.dots[mine]
-    dist = np.sqrt(np.maximum(ws.p2 - 2.0 * hm * dm + hm * hm, 0.0))
-    t = nr.fresnel.transmittance((dm - hm) / dist, ws.config.medium)
-    return float(np.sum(ws.wf[mine] * t))
-
-
 @lru_cache(maxsize=None)
 def _solved_workspace(kappa):
     """Workspace over a solved five-target state at level 6, and each
@@ -860,7 +840,6 @@ def _solved_workspace(kappa):
 def _begin(kappa, j):
     cfg, ws, ranges = _solved_workspace(kappa)
     ws.begin(j)
-    ws.restrict()
     return cfg, ws, ranges[j]
 
 
@@ -881,17 +860,13 @@ def test_bisection_matches_the_two_branch_reference_on_workspaces(kappa):
 
 
 def _assert_probe_matches(ws, b, targets):
-    ref = _reference_energy(ws, b)
+    ref = reference_energy(ws, b)
     assert ws.energy(b).hex() == ref.hex()
     for target in targets:
         assert ws.at_least(b, target) == (ref >= target)
         assert ws.at_least(b, target, strict=True) == (ref > target)
     h, _ = ovals.radii_from_dots(ws.kappa, ws.p2, b, ws.dots)
     assert ws.radii_row(b).tobytes() == h.tobytes()
-    # before `restrict`, as on a cheap accept: one pass over every node
-    ws.begin(ws.j)
-    assert ws.energy(b).hex() == ref.hex()
-    ws.restrict()
 
 
 def _ulp_step(x, ulps):
@@ -912,7 +887,7 @@ def _targets_around(ref, weight):
 def test_candidate_energy_matches_full_node_reference(kappa, j, u, scale):
     cfg, ws, (lo, hi) = _begin(kappa, j)
     b = min(max(lo + u * (hi - lo), lo), hi)
-    ref = _reference_energy(ws, b)
+    ref = reference_energy(ws, b)
     _assert_probe_matches(ws, b, _targets_around(ref, cfg.targets.weights[j]) + [scale * ref])
 
 
@@ -927,8 +902,25 @@ def test_candidate_energy_matches_at_switch_values(kappa, j, pick, ulps):
     assert inside.size
     b = _ulp_step(float(inside[min(int(pick * inside.size), inside.size - 1)]), ulps)
     b = min(max(b, lo), hi)
-    ref = _reference_energy(ws, b)
+    ref = reference_energy(ws, b)
     _assert_probe_matches(ws, b, _targets_around(ref, cfg.targets.weights[j]))
+
+
+@pytest.mark.parametrize("kappa", _REGIMES)
+def test_candidate_energy_matches_reference_off_the_search_range(kappa):
+    # a visit's start b_j may lie off this rule's range: the superset holds
+    # at any b where the sheet is supported, and elsewhere both raise alike
+    off = np.array([1e-9, 1e-6, 1e-3, 0.03, 0.1, 0.3, 1.0, 3.0])
+    for j in range(1, 5):
+        cfg, ws, (lo, hi) = _begin(kappa, j)
+        for b in np.concatenate([lo - off * (hi - lo), hi + off * (hi - lo)]).tolist():
+            try:
+                ref = reference_energy(ws, b)
+            except refractor.ConfigurationError as exc:
+                with pytest.raises(refractor.ConfigurationError, match=re.escape(str(exc))):
+                    ws.energy(b)
+            else:
+                assert ws.energy(b).hex() == ref.hex(), (kappa, j, b)
 
 
 def test_early_decisions_are_taken():
@@ -964,12 +956,46 @@ def test_probes_take_the_regime_from_the_workspace(monkeypatch, kappa):
         calls.clear()
         ws.begin(2)
         ws.energy(0.5 * (lo + hi))
-        ws.restrict()
         ends = (lo, hi) if ws.is_max else (hi, lo)
         b, evals, _ = solver._bisect_coordinate(ws, *ends, target, b_tol, not ws.is_max)
         ws.radii_row(b)
         counts[evals] = len(calls)
     assert len(counts) == 2 and len(set(counts.values())) == 1, counts
+
+
+@pytest.mark.parametrize("run", [
+    *[(lambda kappa=kappa: solve_discrete(symmetric_pair_config(kappa))) for kappa in _REGIMES],
+    lambda: refine_radon(_disk_problem(level=7), levels=3),
+], ids=["pair-strong", "pair-mild", "pair-critical", "radon"])
+def test_start_candidate_energy_matches_reference_in_whole_solves(monkeypatch, run):
+    # every visit's start energy runs on the candidates of `begin`, and must
+    # be a pass over every node bit for bit: at stage entry, where b_j is
+    # parked by init_state or carried over from a coarser ladder rule, and on
+    # every later sweep; `..._off_the_search_range` covers starts off the range
+    init, stage = solver.init_state, solver._sweep_stage
+    energy = solver._CoordinateWorkspace.energy
+    parked, entry, starts = [], {}, {"parked": 0, "carried": 0, "sweep": 0}
+
+    def parking(*args):
+        parked.append(init(*args))
+        return parked[-1]
+
+    def staged(config, rule, state, *rest):
+        kind = "parked" if any(state is p for p in parked) else "carried"
+        entry.update(dict.fromkeys(range(1, state.b.size), kind))
+        return stage(config, rule, state, *rest)
+
+    def checked(ws, b):
+        got = energy(ws, b)
+        assert got.hex() == reference_energy(ws, b).hex(), (ws.j, b)
+        starts[entry.pop(ws.j, "sweep")] += 1
+        return got
+
+    monkeypatch.setattr(solver, "init_state", parking)
+    monkeypatch.setattr(solver, "_sweep_stage", staged)
+    monkeypatch.setattr(solver._CoordinateWorkspace, "energy", checked)
+    run()
+    assert starts["parked"] and starts["carried"], starts
 
 
 @pytest.mark.parametrize("kappa", [-1.5, -0.5])  # max and min envelopes
@@ -1241,7 +1267,7 @@ def test_workspace_support_check_matches_reference(kappa, j, rel):
     top = _support_upper_end(kappa, np.sqrt(ws.p2), float(ws.dots.min()))
     b = top + rel * np.sqrt(ws.p2)
     try:
-        ref = _reference_energy(ws, b)
+        ref = reference_energy(ws, b)
     except refractor.ConfigurationError:
         with pytest.raises(refractor.ConfigurationError):
             ws.energy(b)
