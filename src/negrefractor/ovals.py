@@ -9,6 +9,7 @@ regimes:
   strong   kappa < -1    |z| + kappa |z - P| = b,  kappa|P| < b < |P|,
                          defined where x.P/|P| >= support_cut(P, b)
   mild     -1 < kappa < 0 same implicit equation, defined where x.P >= b
+                         and (k^2 x.P - b)^2 >= (1 - k^2)(b^2 - k^2 |P|^2)
   critical kappa = -1    semi-hyperboloid |z| - |z - P| = b, |b| <= |P|,
                          defined where x.P > b
 
@@ -156,6 +157,20 @@ def support_from_dots(regime: Regime, kappa: float, p2: float, b: float, dots):
     u = k^2 d - b and discriminant u^2 - c, c = (k^2 - 1)(k^2 p2 - b^2).  It
     may fall below zero by DISC_SLACK max(u^2, |c|); where u^2 is the larger
     it is >= 0 anyway (rounding is monotone), so the slack is DISC_SLACK |c|.
+
+    For every b the computed mask holds on an interval of d, so over unit
+    directions (|d| <= |P| up to rounding) it is all true exactly when it is
+    true at the smallest and the largest d.  Rounding is monotone, so each
+    computed test is monotone in its input.  Critical: b - d < 0 is
+    false-then-true in d.  Strong: u > 0 is false-then-true, and where it
+    holds the clip test, monotone in u*u, is too.  Mild: d >= b is
+    false-then-true, and the clip test passes for every d when c <= 0.
+    When c > 0 and b < 0, u >= (k^2 - 1) b > 0 on d >= b and grows with d,
+    so the clip test is false-then-true there.  When c > 0 and b > 0,
+    b > |k| |P| and so b - k^2 d > (1 - |k|) b > 0 for d <= |P|: u*u falls
+    with d and the clip test is true-then-false.  Their relative margins
+    1 - k^2 and 1 - |k| exceed 1e-14 whenever |kappa + 1| > CRITICAL_TOL,
+    well above the few ulps of rounding in u and in a unit node's d.
     """
     if regime is Regime.CRITICAL:
         return b - dots < 0.0
@@ -177,29 +192,6 @@ def radius_from_dots(regime: Regime, kappa: float, p2: float, b: float, dots):
     if regime is Regime.STRONG:
         return (u - root) / (k2 - 1.0)
     return (root - u) / (1.0 - k2)
-
-
-def support_decided_by_extremes(regime: Regime, kappa: float, p2: float, b: float,
-                                d_max: float):
-    """Whether support_from_dots over dot products d <= d_max is all true
-    exactly when it is true at the smallest and the largest d: a bool for a
-    float b, a bool array for an array of b.
-
-    Rounding is monotone, so each computed test below is monotone in its
-    input.  Strong: u = k^2 d - b grows with d, and the clip test is monotone
-    in u*u, so the mask (u > 0 and the clip test) is false-then-true in d.
-    Critical: b - d < 0 is false-then-true.  Mild: d >= b is false-then-true;
-    the clip test depends on d through v*v, v = b - k^2 d, and always passes
-    when the constant term (1 - k^2)(b^2 - k^2 p2) is <= 0; otherwise, if
-    v >= 0 at d_max, v*v falls with d and the test is true-then-false.
-    Either way the mask holds on an interval of d.  Only a mild sheet with
-    v < 0 at d_max and a positive constant term (outside every search range
-    in practice) needs the full mask.
-    """
-    if regime is not Regime.MILD:
-        return True
-    k2 = kappa * kappa
-    return ((1.0 - k2) * (b * b - k2 * p2) <= 0.0) | (b - k2 * d_max >= 0.0)
 
 
 def polar_radius(oval: OvalParams, x) -> float:

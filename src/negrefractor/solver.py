@@ -502,13 +502,12 @@ class _CoordinateWorkspace:
     node order, so the sum sees the same array and returns the same bits.
 
     Support.  `ovals.support_from_dots` decides support from d = x . P alone,
-    and its computed mask holds on an interval of d (see
-    `ovals.support_decided_by_extremes`), so `supported` tests it on the
-    smallest and the largest d only, for one b or for an array of b with the
-    same bits; a mild sheet that these two cannot decide is tested on the
-    full mask.  The candidates' radii then come from
-    `ovals.radius_from_dots` without a mask, and the Fresnel window check
-    runs on the owned nodes' cosines only: every other node's term is 0.
+    and its computed mask holds on an interval of d in every regime, so
+    `supported` tests it on the smallest and the largest d only, for one b
+    or for an array of b with the same bits.  The candidates' radii then
+    come from `ovals.radius_from_dots` without a mask, and the Fresnel
+    window check runs on the owned nodes' cosines only: every other node's
+    term is 0.
 
     Early decisions.  A bisection only asks whether G_j(b) reaches a target
     (`at_least`).  Every term w f t is >= 0, and a float sum of n >= 0 terms,
@@ -607,16 +606,14 @@ class _CoordinateWorkspace:
 
     def supported(self, b) -> bool:
         """Whether sheet j is supported on every node at b, or at every b of
-        an array, wherever the smallest and the largest d decide it."""
+        an array: at the smallest and the largest d."""
         args = (self.regime, self.kappa, self.p2, b)
-        return bool(np.all(ovals.support_decided_by_extremes(*args, self.d_max)
-                           & support_from_dots(*args, self.d_min)
+        return bool(np.all(support_from_dots(*args, self.d_min)
                            & support_from_dots(*args, self.d_max)))
 
     def _check_support(self, b: float):
         """Raise unless sheet j is supported on every node at b."""
-        if not (self.supported(b)
-                or support_from_dots(self.regime, self.kappa, self.p2, b, self.dots).all()):
+        if not self.supported(b):
             raise ConfigurationError(f"sheet {self.j} left its support region at b={b}")
 
     def _terms(self, b: float, nodes) -> np.ndarray:
@@ -718,8 +715,8 @@ def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,
     and the probe of `above` refutes the walk.  The probes it skips cannot
     raise: `ws.supported` checks support at every midpoint at once, and the
     window check cannot fire on the search range (`_CoordinateWorkspace`).
-    Without a prediction, with a midpoint that two nodes cannot decide, or
-    when a probe refutes the walk, the plain loop runs, reusing every answer.
+    Without a prediction, with a midpoint off the support, or when a probe
+    refutes the walk, the plain loop runs, reusing every answer.
     """
     answers = {}
 

@@ -1127,6 +1127,21 @@ def test_predicted_bisection_matches_cold_on_workspaces(kappa, j, u, fine, hit, 
                      ends + (target, b_tol, not ws.is_max), (start, ws.energy(start)))
 
 
+def test_predicted_bisection_exhausts_past_a_solved_strong_peak():
+    # on the solved strong state G_1 jumps to its peak early in the range
+    # and falls to G_1(hi) at the top: a target between the two is predicted
+    # on the rise, and the probe of `above` refutes the walk; both paths
+    # exhaust at hi after the four probes
+    cfg, ws, (lo, hi) = _begin(-1.5, 1)
+    peak = max(ws.energy(float(b)) for b in np.linspace(lo, hi, 401))
+    target = 0.5 * (peak + ws.energy(hi))
+    assert target > ws.energy(hi) and ws.predict(lo, ws.energy(lo), target) is not None
+    key = (lo, hi, target, cfg.tolerances.b_tol * float(cfg.targets.norms[1]), False)
+    assert _cold_bisection(ws, *key) == (hi, 2, True)
+    probes, _, _ = _predicted_visit(lambda: _RecordingWorkspace(ws), key, (lo, ws.energy(lo)))
+    assert len(probes) == 4
+
+
 def test_predictions_hit_on_solved_workspaces():
     # restarted at its own solution, every coordinate of every regime is
     # certified by its four probes, at the solver's b_tol and at the radon
@@ -1223,56 +1238,86 @@ def _support_upper_end(kappa, p, d_min):
     return d_min
 
 
+# each regime's kappa: its working range and, off the critical one, within
+# 1e-13 of -1; mild also near 0
+_KAPPAS = {
+    "strong": st.one_of(st.floats(-3.05, -1.05), st.floats(-1.0 - 1e-13, -1.0 - 1.5e-14)),
+    "mild": st.one_of(st.floats(-0.95, -0.05), st.floats(-1.0 + 1.5e-14, -1.0 + 1e-13),
+                      st.floats(1.0, 12.0).map(lambda e: -(10.0 ** -e))),
+    "critical": st.just(-1.0),
+}
+
+
+def _support_edges(kappa, p2, b):
+    """The dot products d where a test of `ovals.support_from_dots` can
+    turn: d = b and, off the critical regime, u = k^2 d - b = 0 and u^2 = c."""
+    if ovals.regime_of(kappa) is ovals.Regime.CRITICAL:
+        return [b]
+    k2 = kappa * kappa
+    c = (k2 - 1.0) * (k2 * p2 - b * b)
+    roots = [(b - math.sqrt(c)) / k2, (b + math.sqrt(c)) / k2] if c >= 0.0 else []
+    return [b, b / k2] + roots
+
+
 @_PROPERTY
 @given(
-    regime=st.sampled_from(["strong", "mild", "critical"]),
-    k=st.floats(0.0, 1.0), p=st.floats(0.3, 3.0), c_min=st.floats(0.5, 0.999),
-    where=st.sampled_from(["inside", "rim", "outside"]), u=st.floats(0.0, 1.0),
-    rel=st.floats(1e-16, 1e-8), ulps=st.integers(-4, 4),
+    case=st.sampled_from(["strong", "mild", "critical"]).flatmap(
+        lambda regime: st.tuples(st.just(regime), _KAPPAS[regime])),
+    p=st.floats(0.3, 3.0), c_min=st.floats(0.5, 0.999),
+    where=st.sampled_from(["inside", "rim", "outside", "below", "above", "c_zero"]),
+    u=st.floats(0.0, 1.0), rel=st.floats(1e-16, 1e-8), ulps=st.integers(-4, 4),
     cosines=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
 )
-def test_two_node_support_check_equals_full_mask(regime, k, p, c_min, where, u, rel,
-                                                 ulps, cosines):
-    kappa = {"strong": -1.05 - 2.0 * k, "mild": -0.05 - 0.9 * k, "critical": -1.0}[regime]
+def test_two_node_support_check_equals_full_mask(case, p, c_min, where, u, rel, ulps, cosines):
+    # b anywhere: on the range, at and past the support end of the least d,
+    # beyond both admissible ends and where c = 0; dots at every edge of the
+    # support tests, ulps apart, on the unit nodes' span [-|P|, |P|]
+    regime, kappa = case
     p2 = p * p
     d_min = c_min * p
     top = _support_upper_end(kappa, p, d_min)
     adm = nr.admissible_b(np.array([0.0, 0.0, p]), kappa)
-    if where == "inside":
-        b = adm.lo + u * (top - adm.lo)
-    else:
-        b = top + rel * p if where == "outside" else _ulp_step(top, ulps)
+    b = {
+        "inside": adm.lo + u * (top - adm.lo),
+        "rim": _ulp_step(top, ulps),
+        "outside": top + rel * p,
+        "below": adm.lo - (rel + 2.0 * u) * p,
+        "above": adm.hi + (rel + 2.0 * u) * p,
+        "c_zero": _ulp_step(kappa * p if u < 0.5 else -kappa * p, ulps),
+    }[where]
     dots = d_min + np.array(cosines) * (p - d_min)
     dots[0] = d_min
-    if regime == "strong" and adm.lo < b < adm.hi:
-        # rim-tangent rays: dot products at the support cut, where the
-        # discriminant is clipped within DISC_SLACK
-        rim = ovals.support_cut(ovals.OvalParams(np.array([0.0, 0.0, p]), b, kappa)) * p
-    else:
-        rim = b  # the mild and critical support edge x . P = b
-    dots = np.concatenate([dots, [_ulp_step(rim, k) for k in range(-3, 4)]])
+    edges = [_ulp_step(e, k) for e in _support_edges(kappa, p2, b) for k in range(-3, 4)]
+    dots = np.sort(np.concatenate([dots, edges, [-p, p]]))
     dots = dots[(dots >= -p) & (dots <= p)]
     _, ok = ovals.radii_from_dots(kappa, p2, b, dots)
-    if ovals.support_decided_by_extremes(ovals.regime_of(kappa), kappa, p2, b, float(dots.max())):
-        ends = np.array([dots.min(), dots.max()])
-        assert ovals.radii_from_dots(kappa, p2, b, ends)[1].all() == ok.all()
-    else:
-        assert regime == "mild"
+    # the mask holds on an interval of d, so the two extreme d decide it
+    on = np.flatnonzero(ok)
+    assert on.size == 0 or on[-1] - on[0] + 1 == on.size
+    ends = np.array([dots[0], dots[-1]])
+    assert ovals.radii_from_dots(kappa, p2, b, ends)[1].all() == ok.all()
 
 
 @_PROPERTY
-@given(kappa=st.sampled_from(_REGIMES), j=st.integers(1, 4), rel=st.floats(-1e-6, 1e-6))
-def test_workspace_support_check_matches_reference(kappa, j, rel):
+@given(kappa=st.sampled_from(_REGIMES), j=st.integers(1, 4), rel=st.floats(-1e-6, 1e-6),
+       where=st.sampled_from(["rim", "below", "above"]), u=st.floats(0.0, 2.0))
+def test_workspace_support_check_matches_reference(kappa, j, rel, where, u):
+    # at the support end of the least d, or at or beyond an end of the
+    # admissible range (b <= kappa |P| or b >= |P| off the critical regime)
     cfg, ws, _ = _begin(kappa, j)
-    top = _support_upper_end(kappa, np.sqrt(ws.p2), float(ws.dots.min()))
-    b = top + rel * np.sqrt(ws.p2)
+    p = np.sqrt(ws.p2)
+    adm = nr.admissible_b(ws.P, kappa)
+    b = {
+        "rim": _support_upper_end(kappa, p, float(ws.dots.min())) + rel * p,
+        "below": adm.lo - u * p,
+        "above": adm.hi + u * p,
+    }[where]
     try:
         ref = reference_energy(ws, b)
-    except refractor.ConfigurationError:
-        with pytest.raises(refractor.ConfigurationError):
-            ws.energy(b)
-        with pytest.raises(refractor.ConfigurationError):
-            ws.at_least(b, 0.0)
+    except refractor.ConfigurationError as exc:
+        for probe in (ws.energy, lambda b: ws.at_least(b, 0.0)):
+            with pytest.raises(refractor.ConfigurationError, match=re.escape(str(exc))):
+                probe(b)
         return
     _assert_probe_matches(ws, b, _targets_around(ref, cfg.targets.weights[j]))
 
