@@ -9,7 +9,9 @@ pointwise envelope over the source cap:
 A direction x "belongs" to the sheet attaining the envelope there; points
 where several sheets agree within a relative tie tolerance form the discrete
 stand-in for the (measure-zero) singular set, and are assigned to the lowest
-index for energy bookkeeping but skipped by normal-dependent queries.
+index for energy bookkeeping but skipped by normal-dependent queries.  The
+rule has one home, `owned`, in the regime's `envelope_sense`; the field
+(`assign_envelope`) and the solver's coordinate workspace both read them.
 
 The energy delivered to target j is the quadrature sum of f(x) t(x) over the
 directions assigned to j, with t the Fresnel transmittance at the incidence
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +33,35 @@ from .ovals import Regime
 
 # Relative tie band: a sheet within TIE_TOL * rho of the envelope is in band.
 TIE_TOL = 1e-9
+
+
+class EnvelopeSense(NamedTuple):
+    """The envelope max_j h_j (`sign` +1) or min_j h_j (-1): `fold` folds
+    sheet rows into it and `empty` is that of no sheet, `reaches(h, T)` is
+    h >= T (min: h <= T), and a sheet is in band where it reaches rho `tie`."""
+
+    sign: float
+    fold: np.ufunc
+    empty: float
+    reaches: np.ufunc
+    tie: float
+
+
+def envelope_sense(regime: Regime) -> EnvelopeSense:
+    """The regime's envelope sense, the one place the max/min mirror is
+    written; the tie factor is 1 - TIE_TOL (max) or 1 + TIE_TOL (min)."""
+    up = regime.max_envelope
+    sign = 1.0 if up else -1.0
+    return EnvelopeSense(sign, np.maximum if up else np.minimum, -sign * np.inf,
+                         np.greater_equal if up else np.less_equal, 1.0 - sign * TIE_TOL)
+
+
+def owned(h, low, other, sense: EnvelopeSense):
+    """Mask of the nodes a sheet of radii h owns: it is in band of the
+    envelope of itself and `other` (all other sheets) and `low` (the
+    lower-indexed ones) is not; elementwise, on NaN-free radii."""
+    edge = sense.fold(h, other) * sense.tie
+    return sense.reaches(h, edge) & ~sense.reaches(low, edge)
 
 
 class ConfigurationError(ValueError):
@@ -161,14 +193,12 @@ def assign_envelope(H: np.ndarray, regime: Regime):
     """Envelope rho, lowest-index assignment, and tie flags from a radii matrix.
 
     A sheet is 'in band' when within TIE_TOL * rho of the envelope; ties are
-    nodes with more than one sheet in band.
+    nodes with more than one sheet in band.  The first sheet in band is the
+    one `owned` picks, with `low` the envelope of the earlier rows.
     """
-    if regime.max_envelope:
-        rho = H.max(axis=0)
-        band = H >= rho * (1.0 - TIE_TOL)
-    else:
-        rho = H.min(axis=0)
-        band = H <= rho * (1.0 + TIE_TOL)
+    sense = envelope_sense(regime)
+    rho = sense.fold.reduce(H, axis=0)
+    band = sense.reaches(H, rho * sense.tie)
     assigned = np.argmax(band, axis=0)
     tie = band.sum(axis=0) > 1
     return rho, assigned, tie

@@ -27,13 +27,14 @@ from .fresnel import AdmissibilityMargin, MediumPair
 from .geometry import QuadratureRule, SourceDomain, _orthonormal_frame, build_quadrature, unit
 from .ovals import Regime, support_from_dots
 from .refractor import (
-    TIE_TOL,
     ConfigurationError,
     EmissionDensity,
     FieldEvaluation,
     RefractorState,
     TargetSpec,
     assign_envelope,
+    envelope_sense,
+    owned,
     refraction_cosine,
     sheet_radii,
 )
@@ -481,8 +482,9 @@ class _CoordinateWorkspace:
     Three facts keep every probe bit-identical to a pass over all nodes.
 
     Superset.  Let `low` / `other` be the envelope of the lower-indexed / of
-    all other sheets, c = 1 - TIE_TOL (max envelope) or 1 + TIE_TOL (min),
-    and r* = other c where that lies above `low` (min: below), else low / c.
+    all other sheets, c the tie factor of `refractor.envelope_sense`, home of
+    the rule with `owned` (1 - TIE_TOL max envelope, 1 + TIE_TOL min), and
+    r* = other c where that lies above `low` (min: below), else low / c.
     Rounding is monotone, so a node owned at b has h(x) >= r* (1 - 2 eps)
     (min: h <= r* (1 + 2 eps)).  Along x the sheet through radius h has
     parameter b(h) = h + kappa |h x - P| (critical: h - |h x - P|), and
@@ -547,11 +549,8 @@ class _CoordinateWorkspace:
         self.reach = np.cumsum(wf)
         self.kappa = config.medium.kappa
         self.regime = regime = config.medium.regime
-        self.is_max = regime.max_envelope
+        self.sense = envelope_sense(regime)
         self.lossless = regime.lossless
-        # envelope of sheet rows and the value of an empty one
-        self.env = np.maximum if self.is_max else np.minimum
-        self.no_sheet = -np.inf if self.is_max else np.inf
         self.end_sweep()
 
     def end_sweep(self):
@@ -571,38 +570,33 @@ class _CoordinateWorkspace:
         any order gives the same envelope.
         """
         self.j = j
-        H = self.H
+        H, sense = self.H, self.sense
         if self.after is None:
             self.after = np.empty_like(H)
-            self.after[-1] = self.no_sheet
+            self.after[-1] = sense.empty
             for k in range(H.shape[0] - 2, -1, -1):
-                self.env(self.after[k + 1], H[k + 1], out=self.after[k])
+                sense.fold(self.after[k + 1], H[k + 1], out=self.after[k])
         if self.low_rows == j - 1:
-            self.low = self.env(self.low, H[j - 1])
+            self.low = sense.fold(self.low, H[j - 1])
         else:
-            self.low = self.env.reduce(H[:j], axis=0, initial=self.no_sheet)
+            self.low = sense.fold.reduce(H[:j], axis=0, initial=sense.empty)
         self.low_rows = j
         self.high = self.after[j]
-        self.other = self.env(self.low, self.high)
+        self.other = sense.fold(self.low, self.high)
         self.P = self.config.targets.points[j]
         self.p2 = detmath.dot(self.P, self.P)
         self.dots = detmath.dot_rows(self.rule.nodes, self.P)
         self.d_min, self.d_max = float(self.dots.min()), float(self.dots.max())
-        self.slack = 1e-7 * (1.0 - self.kappa) * math.sqrt(self.p2)
-        if self.is_max:
-            edge = self.other * (1.0 - TIE_TOL)
-            r = np.where(edge > self.low, edge, self.low / (1.0 - TIE_TOL))
-        else:
-            edge = self.other * (1.0 + TIE_TOL)
-            r = np.where(edge < self.low, edge, self.low / (1.0 + TIE_TOL))
+        # signed: b + slack reaches s(x) (>=; min: <=) at every node owned at b
+        self.slack = sense.sign * 1e-7 * (1.0 - self.kappa) * math.sqrt(self.p2)
+        edge = self.other * sense.tie
+        r = np.where(sense.reaches(self.low, edge), self.low / sense.tie, edge)
         dist = np.sqrt(np.maximum(r * r - 2.0 * r * self.dots + self.p2, 0.0))
         self.switch = r - dist if self.lossless else r + self.kappa * dist
 
     def _nodes(self, b: float):
         """Candidate nodes at b, in node order: a superset of those owned."""
-        if self.is_max:
-            return (self.switch <= b + self.slack).nonzero()[0]
-        return (self.switch >= b - self.slack).nonzero()[0]
+        return self.sense.reaches(b + self.slack, self.switch).nonzero()[0]
 
     def supported(self, b) -> bool:
         """Whether sheet j is supported on every node at b, or at every b of
@@ -621,13 +615,7 @@ class _CoordinateWorkspace:
         order; the caller has checked that the sheet is supported at b."""
         dots = self.dots[nodes]
         h = ovals.radius_from_dots(self.regime, self.kappa, self.p2, b, dots)
-        low = self.low[nodes]
-        if self.is_max:
-            T = np.maximum(h, self.other[nodes]) * (1.0 - TIE_TOL)
-            mine = (h >= T) & (low < T)
-        else:
-            T = np.minimum(h, self.other[nodes]) * (1.0 + TIE_TOL)
-            mine = (h <= T) & (low > T)
+        mine = owned(h, self.low[nodes], self.other[nodes], self.sense)
         wf = self.wf[nodes][mine]
         if self.lossless or not wf.size:
             return wf
@@ -666,7 +654,7 @@ class _CoordinateWorkspace:
         first, each counted with its w f (Fresnel factors are left out, so a
         prediction can miss; the visit's probes refute it then).  None when
         they do not add up to the target."""
-        up = (g < target) == self.is_max
+        up = (g < target) == self.regime.max_envelope
         side = (self.switch > b) if up else (self.switch < b)
         s, wf = self.switch[side], self.wf[side]
         key = s if up else -s

@@ -185,7 +185,7 @@ def reference_energy(ws, b):
     h, ok = ovals.radii_from_dots(ws.kappa, ws.p2, b, ws.dots)
     if not np.all(ok):
         raise refractor.ConfigurationError(f"sheet {ws.j} left its support region at b={b}")
-    if ws.is_max:
+    if ws.regime.max_envelope:
         T = np.maximum(h, ws.other) * (1.0 - refractor.TIE_TOL)
         mine = (h >= T) & (ws.low < T)
     else:

@@ -87,19 +87,40 @@ def _sample_batches(regime, n_ovals, dirs_per_oval, seed):
 # criterion 1: implicit-equation residuals
 # ---------------------------------------------------------------------------
 
+# Criterion 1's speed bound, as a ratio to a calibration that machine load
+# slows alike: `defect_many` takes 3.0-3.8 times as long as its own residual
+# algebra on stored radii, without the sheet kernel, on a 2-core VM idle or
+# with both cores busy, and 9.5-9.9 times when it is made three times slower.
+DEFECT_TIME_RATIO = 6.0
+
+
+def _residual_algebra(kappa, P, b, X, h):
+    """`ovals.defect_many`'s strong/mild residual on the given radii h."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    dist = np.linalg.norm(P[None, :] - h[:, None] * X, axis=1)
+    return h + kappa * dist - b
+
+
 def test_criterion_1_oval_residuals():
     worst = 0.0
-    t0 = time.perf_counter()
+    elapsed = calibration = 0.0
     for regime in REGIMES:
         kappas, P, b, X = _sample_batches(regime, 1000, 10, seed=101)
         for i in range(1000):
+            h = np.ones(len(X[i]))
+            t0 = time.perf_counter()
             d = ovals.defect_many(kappas[i], P[i], b[i], X[i])
+            t1 = time.perf_counter()
+            _residual_algebra(kappas[i], P[i], b[i], X[i], h)
+            calibration += time.perf_counter() - t1
+            elapsed += t1 - t0
             worst = max(worst, float(np.max(np.abs(d))) / np.linalg.norm(P[i]))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and elapsed <= 1.0
-    _line(1, ok, f"max |defect|/|P| = {worst:.2e} over 3x10^4 samples in {elapsed:.2f}s")
+    ratio = elapsed / calibration
+    ok = worst <= 1e-10 and ratio <= DEFECT_TIME_RATIO
+    _line(1, ok, f"max |defect|/|P| = {worst:.2e} over 3x10^4 samples in {elapsed:.2f}s, "
+                 f"{ratio:.2f} x calibration")
     assert worst <= 1e-10
-    assert elapsed <= 1.0
+    assert ratio <= DEFECT_TIME_RATIO
 
 
 # ---------------------------------------------------------------------------

@@ -851,11 +851,11 @@ def test_bisection_matches_the_two_branch_reference_on_workspaces(kappa):
         for b_tol in (cfg.tolerances.b_tol * float(cfg.targets.norms[j]), 0.0):
             _, probes = _assert_bisection_matches_reference(
                 lambda: _RecordingWorkspace(ws), lo, hi,
-                float(cfg.targets.weights[j]), b_tol, ws.is_max,
+                float(cfg.targets.weights[j]), b_tol, ws.regime.max_envelope,
             )
             for b in (probes[0], probes[1], probes[len(probes) // 2], probes[-1]):
                 _assert_bisection_matches_reference(
-                    lambda: _RecordingWorkspace(ws), lo, hi, ws.energy(b), b_tol, ws.is_max,
+                    lambda: _RecordingWorkspace(ws), lo, hi, ws.energy(b), b_tol, ws.regime.max_envelope,
                 )
 
 
@@ -904,6 +904,68 @@ def test_candidate_energy_matches_at_switch_values(kappa, j, pick, ulps):
     b = min(max(b, lo), hi)
     ref = reference_energy(ws, b)
     _assert_probe_matches(ws, b, _targets_around(ref, cfg.targets.weights[j]))
+
+
+@_PROPERTY
+@given(regime=st.sampled_from(list(ovals.Regime)), m=st.integers(1, 5), data=st.data())
+def test_ownership_of_the_field_is_the_kernel_row_by_row(regime, m, data):
+    # the field's lowest-index argmax on the band and the kernel's fold over
+    # rows give the same owner and the same ties, on exact duplicate rows and
+    # on radii within 2 ulps of the band edge rho c
+    n = 8
+    sense = refractor.envelope_sense(regime)
+    radii = st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)
+    H = np.array(data.draw(st.lists(radii, min_size=m, max_size=m)))
+    for j in range(1, m):
+        copy = data.draw(st.integers(-1, j - 1))
+        if copy >= 0:
+            H[j] = H[copy]
+    rho = sense.fold.reduce(H, axis=0)
+    top = np.argmax(H == rho, axis=0)  # keep one row on the envelope
+    steps = data.draw(st.lists(st.lists(st.sampled_from([None, -2, -1, 0, 1, 2]),
+                                        min_size=n, max_size=n), min_size=m, max_size=m))
+    for j, row in enumerate(steps):
+        for i, ulps in enumerate(row):
+            if ulps is not None and j != top[i]:
+                H[j, i] = _ulp_step(float(rho[i] * sense.tie), ulps)
+    assert np.array_equal(sense.fold.reduce(H, axis=0), rho)
+
+    _, assigned, tie = refractor.assign_envelope(H, regime)
+    no_sheet = np.full(n, sense.empty)
+    in_band = []
+    for j in range(m):
+        low = sense.fold.reduce(H[:j], axis=0, initial=sense.empty)
+        other = sense.fold.reduce(np.delete(H, j, axis=0), axis=0, initial=sense.empty)
+        assert np.array_equal(refractor.owned(H[j], low, other, sense), assigned == j)
+        in_band.append(refractor.owned(H[j], no_sheet, other, sense))
+    assert np.array_equal(np.sum(in_band, axis=0) > 1, tie)
+
+
+@_PROPERTY
+@given(kappa=st.sampled_from(_REGIMES), j=st.integers(1, 4), pick=st.floats(0.0, 1.0),
+       ulps=st.integers(-2, 2))
+def test_ownership_of_workspace_terms_is_the_field(kappa, j, pick, ulps):
+    # `_terms` keeps the nodes the field assigns to sheet j once row j of H
+    # is the sheet at b, over all nodes and over the candidates, at b on or
+    # next to a switch value
+    cfg, ws, (lo, hi) = _begin(kappa, j)
+    inside = np.sort(ws.switch[(ws.switch >= lo) & (ws.switch <= hi)])
+    b = _ulp_step(float(inside[min(int(pick * inside.size), inside.size - 1)]), ulps)
+    b = min(max(b, lo), hi)
+    H = ws.H.copy()
+    H[j] = ws.radii_row(b)
+    field_nodes = np.flatnonzero(refractor.assign_envelope(H, ws.regime)[1] == j)
+    kept = []
+
+    def recorded(h, low, other, sense):
+        kept.append(refractor.owned(h, low, other, sense))
+        return kept[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "owned", recorded)
+        for nodes in (np.arange(ws.rule.count), ws._nodes(b)):
+            ws._terms(b, nodes)
+            assert np.array_equal(nodes[kept[-1]], field_nodes), (kappa, j, b)
 
 
 @pytest.mark.parametrize("kappa", _REGIMES)
@@ -956,8 +1018,8 @@ def test_probes_take_the_regime_from_the_workspace(monkeypatch, kappa):
         calls.clear()
         ws.begin(2)
         ws.energy(0.5 * (lo + hi))
-        ends = (lo, hi) if ws.is_max else (hi, lo)
-        b, evals, _ = solver._bisect_coordinate(ws, *ends, target, b_tol, not ws.is_max)
+        ends = (lo, hi) if ws.regime.max_envelope else (hi, lo)
+        b, evals, _ = solver._bisect_coordinate(ws, *ends, target, b_tol, not ws.regime.max_envelope)
         ws.radii_row(b)
         counts[evals] = len(calls)
     assert len(counts) == 2 and len(set(counts.values())) == 1, counts
@@ -1008,7 +1070,7 @@ def test_begin_envelopes_equal_full_reductions(monkeypatch, kappa):
     def checked(ws, j):
         begin(ws, j)
         H = ws.H
-        if ws.is_max:
+        if ws.regime.max_envelope:
             low = np.max(H[:j], axis=0, initial=-np.inf)
             high = np.max(H[j + 1:], axis=0, initial=-np.inf)
             other = np.maximum(low, high)
@@ -1117,14 +1179,14 @@ def test_predicted_bisection_matches_cold_on_workspaces(kappa, j, u, fine, hit, 
     # workspace's own or moved relative to the range
     cfg, ws, (lo, hi) = _begin(kappa, j)
     b_tol = cfg.tolerances.b_tol * float(cfg.targets.norms[j]) if fine else 0.0
-    ends = (lo, hi) if ws.is_max else (hi, lo)
+    ends = (lo, hi) if ws.regime.max_envelope else (hi, lo)
     target = float(cfg.targets.weights[j])
     if hit:
-        target = ws.energy(_cold_bisection(ws, *ends, target, b_tol, not ws.is_max)[0])
+        target = ws.energy(_cold_bisection(ws, *ends, target, b_tol, not ws.regime.max_envelope)[0])
     start = min(max(lo + u * (hi - lo), lo), hi)
     moved = None if shift is None else (lambda s: s + shift * (hi - lo))
     _predicted_visit(lambda: _RecordingWorkspace(ws, moved),
-                     ends + (target, b_tol, not ws.is_max), (start, ws.energy(start)))
+                     ends + (target, b_tol, not ws.regime.max_envelope), (start, ws.energy(start)))
 
 
 def test_predicted_bisection_exhausts_past_a_solved_strong_peak():
@@ -1150,10 +1212,10 @@ def test_predictions_hit_on_solved_workspaces():
     for kappa in _REGIMES:
         for j in range(1, 5):
             cfg, ws, (lo, hi) = _begin(kappa, j)
-            ends = (lo, hi) if ws.is_max else (hi, lo)
+            ends = (lo, hi) if ws.regime.max_envelope else (hi, lo)
             p = float(cfg.targets.norms[j])
             for b_tol in (cfg.tolerances.b_tol * p, 1e-13 * p):
-                key = ends + (float(cfg.targets.weights[j]), b_tol, not ws.is_max)
+                key = ends + (float(cfg.targets.weights[j]), b_tol, not ws.regime.max_envelope)
                 b = float(_cold_bisection(ws, *key)[0])
                 new, cold, _ = _predicted_visit(lambda: _RecordingWorkspace(ws), key,
                                                 (b, ws.energy(b)))
@@ -1168,9 +1230,9 @@ def test_warm_bisection_raises_where_cold_does(kappa):
         cfg, ws, (lo, hi) = _begin(kappa, j)
         target = float(cfg.targets.weights[j])
         b_tol = cfg.tolerances.b_tol * float(cfg.targets.norms[j])
-        ends = (lo, hi) if ws.is_max else (hi, lo)
-        bad = (ends[0], 2.0 * ends[1] - ends[0]) if ws.is_max else (2.0 * ends[0] - ends[1], ends[1])
-        bad += (target, b_tol, not ws.is_max)
+        ends = (lo, hi) if ws.regime.max_envelope else (hi, lo)
+        bad = (ends[0], 2.0 * ends[1] - ends[0]) if ws.regime.max_envelope else (2.0 * ends[0] - ends[1], ends[1])
+        bad += (target, b_tol, not ws.regime.max_envelope)
         with pytest.raises(refractor.ConfigurationError) as cold:
             _cold_bisection(ws, *bad)
         start = 0.5 * (lo + hi)
