@@ -170,6 +170,7 @@ def load_config(path: str):
     axis = _need(source, "axis", "source")
     if not isinstance(axis, list) or len(axis) != dim:
         raise SchemaError(f"source.axis must be a list of {dim} numbers")
+    axis = [_number(v, "axis entry") for v in axis]
     half_angle = np.deg2rad(_number(_need(source, "half_angle_deg", "source"), "half_angle_deg"))
     density_spec = source.get("density", "uniform")
     if density_spec == "uniform":
@@ -424,9 +425,7 @@ def cmd_fresnel_table(args) -> int:
     _check_output(args.out)
     medium = MediumPair(kappa=args.kappa, sigma=args.sigma, alpha=args.alpha)
     margin = AdmissibilityMargin(args.epsilon)
-    _, t_max = margin.window(args.kappa)  # raises when the margin empties it
-    t_min = medium.regime.window_floor(args.kappa) + args.epsilon
-    cs = np.linspace(t_min, t_max, args.samples)
+    cs = np.linspace(*margin.window(args.kappa), args.samples)  # raises when the margin empties it
     r = fresnel.reflectance(cs, medium, margin)
     if medium.regime.lossless:
         p = q = r
@@ -506,7 +505,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationFailure as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"invalid problem: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ differences between consecutive levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -379,15 +379,24 @@ def _coordinate_range(
 
 def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> RefractorState:
     """Parameters that make every non-anchor sheet inactive, verified on the
-    quadrature (all non-anchor measures exactly zero)."""
+    quadrature (all non-anchor measures exactly zero).
+
+    A strong sheet parks at the floor of its admissible range, kappa|P| +
+    _EDGE|P|, which `_coordinate_range` keeps its search above.  There it
+    lies within its rim radius sqrt((kappa^2|P|^2 - b^2)/(kappa^2 - 1)) of
+    the source (about 1.5e-6|P| at kappa = -1.5; criterion 4's h_max), and
+    its support cut 1/kappa + O(1e-6) lies below every aperture cosine by
+    validate's strong cone record.  So it owns no node and enters no tie
+    band, and the sweeps cannot tell where it parked: its start energy is 0
+    and a visit's result and count do not depend on its start.
+    """
     rule = rule or config.rule()
     med, tgt = config.medium, config.targets
     k = med.kappa
-    reg = med.regime
     m = tgt.count
 
     anchor = ovals.OvalParams(tgt.points[0], config.b1, k)
-    h1, ok = ovals.radii(k, anchor.focus, anchor.b, rule.nodes)
+    _, ok = ovals.radii(k, anchor.focus, anchor.b, rule.nodes)
     if not np.all(ok):
         raise ConfigurationError("anchor sheet does not cover the aperture")
     if m == 1:
@@ -395,33 +404,17 @@ def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> Ref
 
     b = np.empty(m)
     b[0] = config.b1
-    if reg is Regime.STRONG:
-        c_init = float(h1.min())
-        for _ in range(80):
-            b[1:] = c_init * (1.0 - k) + k * tgt.norms[1:]
-            c_init *= 0.5
-            if not all(ovals.admissible_b(P, k).contains(bj)
-                       for P, bj in zip(tgt.points[1:], b[1:])):
-                continue
-            state = RefractorState(med, tgt, b.copy())
-            try:
-                G = refractor.measures(state, rule, config.density)
-            except (ConfigurationError, fresnel.InadmissibleIncidenceError):
-                continue  # a parked sheet left its support or the window
-            if np.all(G[1:] == 0.0):
-                return state
-        raise InfeasibleGeometryError(
-            "could not park the non-anchor sheets below the anchor"
-        )
-    if reg.lossless:
+    p = tgt.norms[1:]
+    hint = ""
+    if med.regime is Regime.STRONG:
+        b[1:] = k * p + _EDGE * p
+    elif med.regime.lossless:
         # critical: push each sheet up toward its aperture cut
-        p = tgt.norms[1:]
         b[1:] = np.minimum(_cosine_minima(rule, tgt)[1:] * p - 1e-6 * p, p * (1.0 - _EDGE))
         hint = "; lower b1"
     else:
-        b[1:] = (config.tau - k) * tgt.norms[1:]
-        hint = ""
-    state = RefractorState(med, tgt, b.copy())
+        b[1:] = (config.tau - k) * p
+    state = RefractorState(med, tgt, b)
     G = refractor.measures(state, rule, config.density)
     if np.any(G[1:] != 0.0):
         raise InfeasibleGeometryError(
@@ -1106,22 +1099,14 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
     mass_err = 0.0
     status = "converged"
     test_side = 2 ** (_TEST_LEVEL - 1)
+    # RadonProblem names every solve input of ProblemConfig but the atoms
+    shared = {f.name: getattr(problem, f.name)
+              for f in fields(ProblemConfig) if f.name != "targets"}
 
     for level in range(1, levels + 1):
         points, masses, cells, n_side = dyadic_atoms(problem.patch, level)
         mass_err = max(mass_err, abs(float(np.sum(masses)) - total_mass))
-        config = ProblemConfig(
-            domain=problem.domain,
-            density=problem.density,
-            medium=problem.medium,
-            margin=problem.margin,
-            targets=TargetSpec(points, masses),
-            b1=problem.b1,
-            tau=problem.tau,
-            r0=problem.r0,
-            quadrature_level=problem.quadrature_level,
-            tolerances=problem.tolerances,
-        )
+        config = ProblemConfig(targets=TargetSpec(points, masses), **shared)
         solve = solve_discrete(config, rule)
         if not solve.converged:
             status = f"level-{level}-{solve.status}"

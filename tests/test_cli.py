@@ -88,7 +88,7 @@ def test_margin_that_empties_the_window_fails_validation(tmp_path, capsys):
     failed = [r["detail"] for r in rep["records"] if r["status"] == "fail"]
     assert any("empties the admissible window" in d for d in failed)
     assert cli.main(["solve", cfgp, "--out", str(tmp_path / "r.json")]) == cli.EXIT_VALIDATION
-    assert "validation failed" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("validation failed") == 1
 
 
 def test_critical_with_mismatched_impedance_warns_but_runs(tmp_path):
@@ -254,6 +254,7 @@ def test_fresnel_table_is_lossless_at_kappa_minus_one(tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "c,p,q,r,t" and len(lines) == 22
+    assert lines[1].split(",")[0] == "-1"  # the window [-1, 1] of AdmissibilityMargin
     for row in lines[1:]:
         assert row.split(",")[1:] == ["0", "0", "0", "1"]
 
@@ -357,6 +358,8 @@ def _set(path, value):
     (_set(["dimension"], 4), "dimension"),
     (_set(["source"], "cap"), "source"),
     (_set(["source", "axis"], [0.0, 1.0]), "source.axis"),
+    (_set(["source", "axis"], ["z", 0, 1]), "'axis entry'"),
+    (_set(["source", "axis"], [False, False, True]), "'axis entry'"),
     (_set(["source", "density"], "gaussian"), "source.density"),
     (_set(["source", "density"], {"table": []}), "source.density.table"),
     (_set(["targets"], []), "targets"),

@@ -289,6 +289,114 @@ def test_init_strong_parking_retries_only_what_parking_causes(monkeypatch):
     assert type(info.value) is ValueError and len(calls) == 1
 
 
+def _halving_parking(config, rule=None):
+    """Reference strong parking by search: halve a radius c from the
+    anchor's least radius, set b_j = c(1 - kappa) + kappa|P_j|, and keep the
+    first b whose sheets are admissible, evaluable and receive no energy."""
+    rule = rule or config.rule()
+    tgt, k = config.targets, config.medium.kappa
+    h1, _ = ovals.radii(k, tgt.points[0], config.b1, rule.nodes)
+    c_init = float(h1.min())
+    b = np.full(tgt.count, config.b1)
+    for _ in range(80):
+        b[1:] = c_init * (1.0 - k) + k * tgt.norms[1:]
+        c_init *= 0.5
+        if not all(ovals.admissible_b(P, k).contains(bj) for P, bj in zip(tgt.points[1:], b[1:])):
+            continue
+        state = nr.RefractorState(config.medium, tgt, b.copy())
+        try:
+            G = refractor.measures(state, rule, config.density)
+        except (refractor.ConfigurationError, nr.fresnel.InadmissibleIncidenceError):
+            continue
+        if np.all(G[1:] == 0.0):
+            return state
+    raise solver.InfeasibleGeometryError("could not park the non-anchor sheets below the anchor")
+
+
+def _solve_bytes(monkeypatch, run, park):
+    """Report bytes of every solve `run` makes and of its own report, with
+    `park` as init_state; and the parked parameters."""
+    solve, reports, parked = solver.solve_discrete, [], []
+
+    def parking(config, rule=None):
+        parked.append(park(config, rule))
+        return parked[-1]
+
+    def recorded(*args):
+        sol = solve(*args)
+        reports.append(cli.report_bytes(sol.to_dict()))
+        return sol
+
+    monkeypatch.setattr(solver, "init_state", parking)
+    monkeypatch.setattr(solver, "solve_discrete", recorded)
+    reports.append(cli.report_bytes(run().to_dict()))
+    monkeypatch.setattr(solver, "solve_discrete", solve)
+    return reports, [state.b for state in parked]
+
+
+_STRONG_RUNS = {
+    "pair-strong": lambda: solver.solve_discrete(symmetric_pair_config(-1.5)),
+    "stiff": lambda: solver.solve_discrete(solvable_config(-1.5, 10, seed=1027, level=5)),
+    "radon": lambda: solver.refine_radon(_disk_problem(level=7), levels=3),
+}
+
+
+@pytest.mark.parametrize("run", _STRONG_RUNS.values(), ids=_STRONG_RUNS.keys())
+def test_parking_at_the_floor_keeps_whole_solves_identical(monkeypatch, run):
+    # the sweeps cannot tell where a strong sheet was parked: every solve's
+    # report, its b and bisection_evals included, is the same from either park
+    closed, floors = _solve_bytes(monkeypatch, run, init_state)
+    halved, searched = _solve_bytes(monkeypatch, run, _halving_parking)
+    assert halved == closed
+    # and the starts differ: the floor lies below every searched park
+    assert len(floors) == len(searched) and all(
+        np.all(f[1:] < s[1:]) for f, s in zip(floors, searched))
+
+
+@pytest.mark.parametrize("run", _STRONG_RUNS.values(), ids=_STRONG_RUNS.keys())
+def test_strong_parking_stays_out_of_the_anchor_tie_band(monkeypatch, run):
+    # a parked row lies below the anchor row by more than the tie band at
+    # every node, so it owns no node and ties with none
+    rows = []
+
+    def parking(config, rule=None):
+        state = init_state(config, rule)
+        rows.append(refractor.sheet_radii(state, (rule or config.rule()).nodes))
+        return state
+
+    monkeypatch.setattr(solver, "init_state", parking)
+    run()
+    assert rows and all(np.all(H[1:] < H[0] * (1.0 - refractor.TIE_TOL)) for H in rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kappa=st.floats(-8.0, -1.0 - 1e-9), pair=st.booleans())
+def test_init_strong_parking_lands_on_the_admissible_floor(kappa, pair):
+    # wherever the halving search parks, init_state parks at the floor of
+    # the admissible range with a single field evaluation
+    cfg = (symmetric_pair_config(kappa, level=4) if pair
+           else solvable_config(kappa, 5, seed=3, level=4))
+    rule = cfg.rule()
+    try:
+        _halving_parking(cfg, rule)
+    except ValueError:  # the search found no park, so there is none to match
+        return
+    calls = []
+    measures = refractor.measures
+
+    def counted(*args):
+        calls.append(1)
+        return measures(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refractor, "measures", counted)
+        state = init_state(cfg, rule)
+    p = cfg.targets.norms[1:]
+    assert len(calls) == 1
+    assert state.b[0] == cfg.b1 and np.array_equal(state.b[1:], kappa * p + solver._EDGE * p)
+
+
 # ---------------------------------------------------------------------------
 # discrete solve
 # ---------------------------------------------------------------------------
