@@ -10,9 +10,10 @@ G_j falls past a peak, where sheet j owns nearly the whole aperture and its
 Fresnel transmittance drops; the solver assumes every target lies below it.
 
 A dyadic refinement driver approximates a continuous target density by atom
-sets that halve in diameter per level, re-solving at each level; the solved
-radial functions converge uniformly, which the report tracks as sup-node
-differences between consecutive levels.
+sets that halve in diameter per level, re-solving at each level from the
+coarser level's solved surface; the solved radial functions converge
+uniformly, which the report tracks as sup-node differences between
+consecutive levels.
 """
 
 from __future__ import annotations
@@ -402,25 +403,31 @@ def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> Ref
     if m == 1:
         return RefractorState(med, tgt, np.array([config.b1]))
 
-    b = np.empty(m)
-    b[0] = config.b1
-    p = tgt.norms[1:]
-    hint = ""
-    if med.regime is Regime.STRONG:
-        b[1:] = k * p + _EDGE * p
-    elif med.regime.lossless:
-        # critical: push each sheet up toward its aperture cut
-        b[1:] = np.minimum(_cosine_minima(rule, tgt)[1:] * p - 1e-6 * p, p * (1.0 - _EDGE))
-        hint = "; lower b1"
-    else:
-        b[1:] = (config.tau - k) * p
-    state = RefractorState(med, tgt, b)
+    state = RefractorState(med, tgt, _parked(config, rule))
     G = refractor.measures(state, rule, config.density)
     if np.any(G[1:] != 0.0):
+        hint = "; lower b1" if med.regime.lossless else ""
         raise InfeasibleGeometryError(
             f"initialization leaves non-anchor energy {G[1:]}{hint}"
         )
     return state
+
+
+def _parked(config: ProblemConfig, rule: QuadratureRule) -> np.ndarray:
+    """The parameters `init_state` verifies: b1, then each non-anchor sheet
+    parked."""
+    tgt, k = config.targets, config.medium.kappa
+    b = np.empty(tgt.count)
+    b[0] = config.b1
+    p = tgt.norms[1:]
+    if config.medium.regime is Regime.STRONG:
+        b[1:] = k * p + _EDGE * p
+    elif config.medium.regime.lossless:
+        # critical: push each sheet up toward its aperture cut
+        b[1:] = np.minimum(_cosine_minima(rule, tgt)[1:] * p - 1e-6 * p, p * (1.0 - _EDGE))
+    else:
+        b[1:] = (config.tau - k) * p
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -813,14 +820,23 @@ def _sweep_stage(
     return state, field, G, status
 
 
-def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) -> SolveReport:
+def _ladder(config: ProblemConfig, rule: QuadratureRule) -> list:
+    """The quadrature rules a solve sweeps on, coarsest first, ending with
+    `rule`: a few coarser levels, or `rule` alone for a tabulated density,
+    which is known on the final rule only."""
+    first = rule.level if config.density.kind == "table" else max(1, rule.level - 3)
+    return [build_quadrature(config.domain, lvl) for lvl in range(first, rule.level)] + [rule]
+
+
+def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None,
+                   start=None) -> SolveReport:
     """Run the discrete construction: fix b1, sweep bisections over j >= 1.
 
-    The sweeps climb a short quadrature ladder (a few coarser levels first,
-    carrying the parameter vector), which costs little and tames stiff
-    configurations; the reported result always comes from the final rule.
-    A tabulated density is known on the final rule only, so it skips the
-    coarser levels.
+    The sweeps climb a short quadrature ladder (`_ladder`, carrying the
+    parameter vector), which costs little and tames stiff configurations;
+    the reported result always comes from the final rule.  They begin from
+    `init_state`'s parked sheets, or from `start`, one parameter per target
+    with b1 first, when one is given; `init_state` runs either way.
     Raises ValidationFailure when a standing assumption fails; otherwise
     always returns a report (status converged / max_outer_exceeded /
     bracket_exhausted / stalled).
@@ -837,18 +853,17 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None) ->
     tol_abs = tol.measure_tol * mu
 
     state = init_state(config, rule)
+    if start is not None:
+        if start[0] != config.b1:
+            raise ValueError(f"a start keeps the anchor at b1={config.b1}, not {start[0]}")
+        state = state.with_b(np.array(start, dtype=float))
     sweeps: list[dict] = []
     status = "converged"
     if m == 1:
         field = refractor.evaluate_field(state, rule)
         G = field.measures(rule.weights * config.density.values_on(rule), m)
     else:
-        # a tabulated density has values on the configured rule's nodes only
-        first = rule.level if config.density.kind == "table" else max(1, rule.level - 3)
-        ladder = [
-            build_quadrature(config.domain, lvl) for lvl in range(first, rule.level)
-        ] + [rule]
-        for stage_rule in ladder:
+        for stage_rule in _ladder(config, rule):
             wf = stage_rule.weights * config.density.values_on(stage_rule)
             stage_tol = tol_abs if stage_rule is rule else max(tol_abs, 2.0 * float(np.max(wf)))
             state, field, G, status = _sweep_stage(config, stage_rule, state, wf, stage_tol, sweeps)
@@ -1078,6 +1093,57 @@ def _test_cells(patch: DiskPatch, cells: np.ndarray, n_side: int) -> np.ndarray:
     return test[:, 0] * side + test[:, 1]
 
 
+# Share of its parent's owned nodes on which a child sheet starts at or past
+# the parent surface.  A measured constant, not a tuning knob: 0.02 still
+# converges but gains little, while 0.07 and above can start criterion 9's
+# 16-atom level where its sweeps keep one coordinate a node weight above its
+# target until they run out.
+_START_SHARE = 0.05
+
+
+def _child_start(config: ProblemConfig, ladder: list, parent: FieldEvaluation,
+                 parent_cells: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Start parameters of a dyadic level from the previous level's solved
+    field `parent` on the final ladder rule; `parent_cells` and `cells` are
+    the two levels' `dyadic_atoms` cells.
+
+    Child c's parent is the atom whose cell holds c's cell.  Along a node x
+    the parent owns, child c's sheet meets the parent surface at the
+    parameter s_c(x) = rho(x) + kappa |rho(x) x - P_c| (critical:
+    rho - |rho x - P_c|), and reaches past it for b_c >= s_c(x) (min
+    envelope: b_c <= s_c(x)).  So b_c is the order statistic of s_c over
+    those nodes that lets the child reach on a share `_START_SHARE` of them,
+    clipped into the search range of every ladder rule.  The anchor keeps
+    b1, and a child whose parent owns no node starts parked.
+    """
+    rule, tgt = ladder[-1], config.targets
+    kappa, reg = config.medium.kappa, config.medium.regime
+    b = _parked(config, rule)
+    parent_of = {cell: i for i, cell in enumerate(map(tuple, parent_cells.tolist()))}
+    # each parent's owned nodes, in node order
+    order = np.argsort(parent.assigned, kind="stable")
+    bounds = np.searchsorted(parent.assigned[order], np.arange(len(parent_cells) + 1))
+    cos_mins = [_cosine_minima(r, tgt) for r in ladder]
+    C1_est = float(parent.rho.min())
+    for c in range(1, tgt.count):
+        p = parent_of[tuple((cells[c] // 2).tolist())]
+        nodes = order[bounds[p]:bounds[p + 1]]
+        if not nodes.size:
+            continue
+        P = tgt.points[c]
+        r = parent.rho[nodes]
+        dots = detmath.dot_rows(rule.nodes[nodes], P)
+        dist = np.sqrt(np.maximum(r * r - 2.0 * r * dots + detmath.dot(P, P), 0.0))
+        s = r - dist if reg.lossless else r + kappa * dist
+        i = int(_START_SHARE * (s.size - 1))
+        if not reg.max_envelope:
+            i = s.size - 1 - i
+        ranges = [_coordinate_range(config, c, C1_est, float(cm[c])) for cm in cos_mins]
+        lo, hi = max(lo for lo, _ in ranges), min(hi for _, hi in ranges)
+        b[c] = min(max(float(np.partition(s, i)[i]), lo), hi)
+    return b
+
+
 def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
     """Solve the dyadic approximations level by level.
 
@@ -1088,6 +1154,11 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
     refinement beyond tolerance; the anchor cell legitimately accumulates the
     surplus (the weak solution only pins the measure on sets avoiding the
     anchor).
+
+    Level 1 starts parked; every later level starts warm, from the previous
+    level's solved surface (`_child_start`), and a warm level that does not
+    converge is solved again from `init_state`.  Each level row's `start`
+    says which: "parked", "warm" or "cold after warm <status>".
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -1095,7 +1166,7 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
     total_mass = problem.patch.total_mass()
     level_rows: list[dict] = []
     sup_diffs: list[float] = []
-    prev_rho = None
+    prev_field = prev_cells = ladder = None  # the previous level's solution
     mass_err = 0.0
     status = "converged"
     test_side = 2 ** (_TEST_LEVEL - 1)
@@ -1107,13 +1178,18 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
         points, masses, cells, n_side = dyadic_atoms(problem.patch, level)
         mass_err = max(mass_err, abs(float(np.sum(masses)) - total_mass))
         config = ProblemConfig(targets=TargetSpec(points, masses), **shared)
-        solve = solve_discrete(config, rule)
+        if prev_field is None:
+            how, solve = "parked", solve_discrete(config, rule)
+        else:
+            ladder = ladder or _ladder(config, rule)
+            start = _child_start(config, ladder, prev_field, prev_cells, cells)
+            how, solve = "warm", solve_discrete(config, rule, start=start)
+            if not solve.converged:
+                how, solve = f"cold after warm {solve.status}", solve_discrete(config, rule)
+            sup_diffs.append(float(np.max(np.abs(solve.field.rho - prev_field.rho))))
         if not solve.converged:
             status = f"level-{level}-{solve.status}"
-        rho = solve.field.rho
-        if prev_rho is not None:
-            sup_diffs.append(float(np.max(np.abs(rho - prev_rho))))
-        prev_rho = rho
+        prev_field, prev_cells = solve.field, cells
 
         # energy landing in each fixed test cell
         test_cells = _test_cells(problem.patch, cells, n_side)
@@ -1125,6 +1201,7 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
                 "level": level,
                 "atoms": int(len(masses)),
                 "status": solve.status,
+                "start": how,
                 "max_residual": float(np.max(np.abs(solve.residuals[1:])))
                 if len(masses) > 1
                 else 0.0,

@@ -7,7 +7,7 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -322,8 +322,8 @@ def _solve_bytes(monkeypatch, run, park):
         parked.append(park(config, rule))
         return parked[-1]
 
-    def recorded(*args):
-        sol = solve(*args)
+    def recorded(*args, **kwargs):
+        sol = solve(*args, **kwargs)
         reports.append(cli.report_bytes(sol.to_dict()))
         return sol
 
@@ -794,11 +794,11 @@ def test_verify_weak_single_target():
 # dyadic refinement
 # ---------------------------------------------------------------------------
 
-def _disk_problem(level=6, mass=0.45, radius=0.05):
+def _disk_problem(level=6, mass=0.45, radius=0.05, kappa=-1.5, shift=(0.0, 0.0)):
     # slightly off the cap axis: a centered disk makes the atom set exactly
     # 4-fold symmetric and the degenerate sheet pairs flip nodes in groups,
-    # which caps the achievable measure resolution
-    center = np.array([0.011, 0.007, 1.0])
+    # which caps the achievable measure resolution; `shift` moves it in-plane
+    center = np.array([0.011 + shift[0], 0.007 + shift[1], 1.0])
     probe = DiskPatch(center=center, normal=np.array([0.0, 0.0, 1.0]),
                       radius=radius, density=1.0)
     patch = DiskPatch(
@@ -806,15 +806,23 @@ def _disk_problem(level=6, mass=0.45, radius=0.05):
         density=mass / probe.total_mass(),
     )
     anchor_norm = float(np.linalg.norm(patch.anchor_point))
+    # the anchor parameters of `solvable_config`
+    if kappa < -1.0:
+        tau, r0, b1 = 1.2, 0.08, kappa * anchor_norm + 0.004
+    elif kappa == -1.0:
+        tau, r0, b1 = 0.3, 0.3, -0.9 * anchor_norm
+    else:
+        tau, r0 = 0.3, 0.17
+        b1 = kappa * anchor_norm + 0.8 * r0 * (1.0 + kappa)
     return RadonProblem(
         domain=nr.make_cap([0.0, 0.0, 1.0], 30 * DEG, 3),
         density=nr.EmissionDensity.uniform(1.0),
-        medium=nr.MediumPair(-1.5, 1.0, 0.5),
+        medium=nr.MediumPair(kappa, 1.0, 0.5),
         margin=nr.AdmissibilityMargin(0.4),
         patch=patch,
-        b1=-1.5 * anchor_norm + 0.004,
-        tau=1.2,
-        r0=0.08,
+        b1=b1,
+        tau=tau,
+        r0=r0,
         quadrature_level=level,
         tolerances=nr.Tolerances(b_tol=1e-13),
     )
@@ -858,8 +866,8 @@ def test_refine_two_levels_feasible_and_conservative():
 def test_refine_stops_at_the_first_failing_level(monkeypatch):
     real = solver.solve_discrete
 
-    def stall_at_four_atoms(config, rule):
-        report = real(config, rule)
+    def stall_at_four_atoms(config, rule, start=None):
+        report = real(config, rule, start=start)
         return replace(report, status="stalled") if config.targets.count == 4 else report
 
     monkeypatch.setattr(solver, "solve_discrete", stall_at_four_atoms)
@@ -867,7 +875,119 @@ def test_refine_stops_at_the_first_failing_level(monkeypatch):
     assert rep.status == "level-2-stalled" and not rep.converged
     assert [row["atoms"] for row in rep.levels] == [1, 4]
     assert rep.levels[-1]["status"] == "stalled"
+    assert rep.levels[-1]["start"] == "cold after warm stalled"
     assert len(rep.sup_diffs) == 1
+
+
+@pytest.mark.parametrize("kappa", [-1.5, -0.5, -1.0])
+def test_warm_start_at_the_parked_state_is_the_cold_solve(kappa):
+    # a start is where the ladder begins and nothing else: from init_state's
+    # own parameters the report is the cold one byte for byte; a start must
+    # keep the anchor at b1
+    cfg = symmetric_pair_config(kappa, level=5)
+    rule = cfg.rule()
+    cold = solve_discrete(cfg, rule)
+    warm = solve_discrete(cfg, rule, start=init_state(cfg, rule).b)
+    assert cli.report_bytes(warm.to_dict()) == cli.report_bytes(cold.to_dict())
+    with pytest.raises(ValueError, match="anchor"):
+        solve_discrete(cfg, rule, start=cold.b + np.array([1e-6, 0.0]))
+
+
+def test_warm_level_that_fails_is_solved_again_cold(monkeypatch):
+    # a warm level that does not converge is solved again from init_state,
+    # and then reports what a run of cold solves reports, but for its start
+    real, prob = solver.solve_discrete, _disk_problem(level=7)
+    calls, solves = [], []
+
+    def warm_fails(config, rule, start=None):
+        calls.append((config.targets.count, start is not None))
+        report = real(config, rule, start=start)
+        if start is not None:
+            return replace(report, status="max_outer_exceeded")
+        solves.append(report)
+        return report
+
+    monkeypatch.setattr(solver, "solve_discrete", warm_fails)
+    rep = refine_radon(prob, levels=3)
+    assert calls == [(1, False), (4, True), (4, False), (16, True), (16, False)]
+    assert [row["start"] for row in rep.levels] == [
+        "parked", "cold after warm max_outer_exceeded", "cold after warm max_outer_exceeded"]
+    fallback = solves[:]
+
+    solves.clear()
+    monkeypatch.setattr(solver, "solve_discrete",
+                        lambda config, rule, start=None: warm_fails(config, rule))
+    cold = refine_radon(prob, levels=3)
+    assert rep.converged and rep.sup_diffs == cold.sup_diffs
+    for row, cold_row in zip(rep.levels, cold.levels):
+        assert {**row, "start": None} == {**cold_row, "start": None}
+    for got, ref in zip(fallback, solves, strict=True):
+        assert got.measures.tobytes() == ref.measures.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 10])
+def test_jittered_centre_converges_warm(seed):
+    # a 1e-4 in-plane move of criterion 9's patch centre stalled level 3 of
+    # cold-started levels on these seeds; warm-started levels converge
+    shift = np.random.default_rng([seed, 9]).uniform(-1e-4, 1e-4, 2)
+    rep = refine_radon(_disk_problem(level=7, shift=shift), levels=3)
+    assert rep.converged, rep.status
+    assert [row["start"] for row in rep.levels] == ["parked", "warm", "warm"]
+    assert rep.sup_diffs[0] > rep.sup_diffs[1]
+
+
+@pytest.mark.parametrize("kappa", [-1.5, -0.5, -1.0])
+def test_warm_child_start_properties(kappa):
+    prob = _disk_problem(level=7, kappa=kappa)
+    shared = {f.name: getattr(prob, f.name)
+              for f in fields(solver.ProblemConfig) if f.name != "targets"}
+
+    def level_config(level):
+        points, masses, cells, _ = dyadic_atoms(prob.patch, level)
+        return solver.ProblemConfig(targets=nr.TargetSpec(points, masses), **shared), cells
+
+    parent_cfg, parent_cells = level_config(2)
+    config, cells = level_config(3)
+    rule = nr.build_quadrature(prob.domain, prob.quadrature_level)
+    ladder = solver._ladder(config, rule)
+    parent = solve_discrete(parent_cfg, rule).field
+    b = solver._child_start(config, ladder, parent, parent_cells, cells)
+    parent_index = [tuple(x) for x in parent_cells.tolist()].index
+    parents = [parent_index(tuple((cells[c] // 2).tolist())) for c in range(len(cells))]
+    assert b[0] == config.b1
+    tgt = config.targets
+    C1 = float(parent.rho.min())
+    sense = refractor.envelope_sense(config.medium.regime)
+    unclipped = 0
+    for c in range(1, tgt.count):
+        ranges = [solver._coordinate_range(config, c, C1, float(solver._cosine_minima(r, tgt)[c]))
+                  for r in ladder]
+        lo, hi = max(r[0] for r in ranges), min(r[1] for r in ranges)
+        assert lo <= b[c] <= hi, (c, lo, b[c], hi)
+        if lo < b[c] < hi:
+            unclipped += 1
+            mine = parent.assigned == parents[c]
+            h, ok = ovals.radii(config.medium.kappa, tgt.points[c], float(b[c]),
+                                rule.nodes[mine])
+            assert ok.all()
+            reached = int(np.count_nonzero(sense.reaches(h, parent.rho[mine])))
+            assert abs(reached - solver._START_SHARE * mine.sum()) <= 1.0, (c, reached)
+    assert unclipped
+    state = refractor.RefractorState(config.medium, tgt, b)
+    for r in ladder:
+        refractor.sheet_radii(state, r.nodes)  # every sheet supported
+
+    # parent 1 cedes its nodes to parent 0: its children start parked, and
+    # those of parents 2 and 3 as before
+    orphan = replace(parent, assigned=np.where(parent.assigned == 1, 0, parent.assigned))
+    b_orphan = solver._child_start(config, ladder, orphan, parent_cells, cells)
+    parked = solver._parked(config, rule)
+    assert 1 in parents and {2, 3} & set(parents)
+    for c in range(1, tgt.count):
+        if parents[c] == 1:
+            assert b_orphan[c] == parked[c]
+        elif parents[c] > 1:
+            assert b_orphan[c] == b[c]
 
 
 def test_anchor_must_avoid_cell_boundaries():
@@ -1133,27 +1253,42 @@ def test_probes_take_the_regime_from_the_workspace(monkeypatch, kappa):
     assert len(counts) == 2 and len(set(counts.values())) == 1, counts
 
 
-@pytest.mark.parametrize("run", [
-    *[(lambda kappa=kappa: solve_discrete(symmetric_pair_config(kappa))) for kappa in _REGIMES],
-    lambda: refine_radon(_disk_problem(level=7), levels=3),
+@pytest.mark.parametrize("run, kinds", [
+    *[((lambda kappa=kappa: solve_discrete(symmetric_pair_config(kappa))), ("parked", "carried"))
+      for kappa in _REGIMES],
+    (lambda: refine_radon(_disk_problem(level=7), levels=3), ("warm", "carried")),
 ], ids=["pair-strong", "pair-mild", "pair-critical", "radon"])
-def test_start_candidate_energy_matches_reference_in_whole_solves(monkeypatch, run):
+def test_start_candidate_energy_matches_reference_in_whole_solves(monkeypatch, run, kinds):
     # every visit's start energy runs on the candidates of `begin`, and must
     # be a pass over every node bit for bit: at stage entry, where b_j is
-    # parked by init_state or carried over from a coarser ladder rule, and on
-    # every later sweep; `..._off_the_search_range` covers starts off the range
-    init, stage = solver.init_state, solver._sweep_stage
+    # parked by init_state, started warm from a coarser dyadic level's
+    # surface or carried over from a coarser ladder rule, and on every later
+    # sweep; `..._off_the_search_range` covers starts off the range
+    init, stage, solve = solver.init_state, solver._sweep_stage, solver.solve_discrete
     energy = solver._CoordinateWorkspace.energy
-    parked, entry, starts = [], {}, {"parked": 0, "carried": 0, "sweep": 0}
+    parked, warm, carried, entry = [], [], [], {}
+    starts = {"parked": 0, "warm": 0, "carried": 0, "sweep": 0}
 
     def parking(*args):
         parked.append(init(*args))
         return parked[-1]
 
+    def solving(config, rule=None, start=None):
+        warm.extend([] if start is None else [start])
+        return solve(config, rule, start=start)
+
     def staged(config, rule, state, *rest):
-        kind = "parked" if any(state is p for p in parked) else "carried"
+        if any(state is p for p in parked):
+            kind = "parked"
+        elif any(state is c for c in carried):
+            kind = "carried"
+        else:
+            assert any(np.array_equal(state.b, w) for w in warm)
+            kind = "warm"
         entry.update(dict.fromkeys(range(1, state.b.size), kind))
-        return stage(config, rule, state, *rest)
+        out = stage(config, rule, state, *rest)
+        carried.append(out[0])
+        return out
 
     def checked(ws, b):
         got = energy(ws, b)
@@ -1162,10 +1297,11 @@ def test_start_candidate_energy_matches_reference_in_whole_solves(monkeypatch, r
         return got
 
     monkeypatch.setattr(solver, "init_state", parking)
+    monkeypatch.setattr(solver, "solve_discrete", solving)
     monkeypatch.setattr(solver, "_sweep_stage", staged)
     monkeypatch.setattr(solver._CoordinateWorkspace, "energy", checked)
     run()
-    assert starts["parked"] and starts["carried"], starts
+    assert all(starts[kind] for kind in kinds), starts
 
 
 @pytest.mark.parametrize("kappa", [-1.5, -0.5])  # max and min envelopes
