@@ -194,6 +194,14 @@ def radius_from_dots(regime: Regime, kappa: float, p2: float, b: float, dots):
     return (root - u) / (1.0 - k2)
 
 
+def parameter_from_dots(regime: Regime, kappa: float, p2: float, h, dots):
+    """Parameter b of the sheet through the point z = h x at dot products
+    d = x . P, the inverse of radius_from_dots: h + kappa |z - P|
+    (critical: h - |z - P|), with |z - P|^2 = h^2 - 2 h d + |P|^2."""
+    dist = np.sqrt(np.maximum(h * h - 2.0 * h * dots + p2, 0.0))
+    return h - dist if regime.lossless else h + kappa * dist
+
+
 def polar_radius(oval: OvalParams, x) -> float:
     """Radius h(x) of the sheet along unit direction x."""
     x = np.asarray(x, dtype=float)

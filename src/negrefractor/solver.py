@@ -321,56 +321,38 @@ def validate(config: ProblemConfig, rule: QuadratureRule | None = None) -> Valid
 # search ranges
 # ---------------------------------------------------------------------------
 
-def _strong_cut_cap(p: float, kappa: float, cos_min: float) -> float:
-    """Largest b keeping the strong sheet's support cut outside the aperture."""
+def _strong_cut_cap(p: np.ndarray, kappa: float, cos_min: np.ndarray) -> np.ndarray:
+    """Largest b keeping each strong sheet's support cut outside the aperture."""
     k2 = kappa * kappa
-    return p * (cos_min - math.sqrt((k2 - 1.0) * max(1.0 - cos_min * cos_min, 0.0)))
+    return p * (cos_min - np.sqrt((k2 - 1.0) * np.maximum(1.0 - cos_min * cos_min, 0.0)))
 
 
-def _coordinate_range(
-    config: ProblemConfig,
-    j: int,
-    C1_est: float,
-    cos_min_j: float,
-) -> tuple[float, float]:
-    """Search range for b_j: admissible range, sound floor and
-    aperture-coverage cap."""
-    k = config.medium.kappa
-    p = float(config.targets.norms[j])
-    reg = config.medium.regime
-    adm = ovals.admissible_b(config.targets.points[j], k)
+def _search_ranges(config: ProblemConfig, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """Search range [lo_j, hi_j] of every b_j on a rule: the admissible range
+    less a relative margin, under the aperture cover's cap (mild: and the
+    cone slack's) and, mild, over the anchor's floor.  The anchor's entry is
+    unused; the sweeps refuse an empty range.
+
+    A strong sheet with radius <= r0 somewhere has b >= r0(1 + kappa) +
+    kappa|P| (triangle inequality; 1 + kappa < 0).  That floor never binds:
+    for r0 > 0 the product is <= 0, also where it underflows, so the rounded
+    sum is at most kappa|P|, which the floor kappa|P| + _EDGE|P| never undercuts.
+    """
+    k, reg = config.medium.kappa, config.medium.regime
+    p = config.targets.norms
+    cos_min = _cosine_minima(rule, config.targets)
     if reg is Regime.STRONG:
-        # The radius-estimate bracket [C1(1-k) + k|P|, sqrt(k^2(|P|^2 - C1^2)
-        # + C1^2)] reduces to this refusal.  For 0 < C1 < |P| its upper end
-        # is >= |P| = adm.hi, so it never cuts below the cap taken here.  For
-        # C1 > |P| its lower end exceeds |P| (C1(1-k) + k|P| - |P| =
-        # (C1 - |P|)(1-k) > 0) and its upper end lies below |P|, so it is
-        # empty; at C1 = |P| both ends are |P| up to rounding.
-        if not (0.0 < C1_est < p):
-            raise InfeasibleGeometryError(
-                f"radius estimate {C1_est} for target {j} must lie in (0, {p})"
-            )
-        # Sound floor: a sheet with radius <= r0 anywhere satisfies
-        # b = h + kappa*dist >= h(1+kappa) + kappa|P| >= r0(1+kappa) + kappa|P|
-        # (triangle inequality; 1+kappa < 0).  The C1-based floor of the
-        # radius-estimate bracket can exclude the solution, so it is not used
-        # as a search bound.
-        lo = max(adm.lo + _EDGE * p, config.r0 * (1.0 + k) + k * p)
+        lo = k * p + _EDGE * p
         # back off the aperture-coverage cap: at the cap itself the rim rays
         # refract at the critical cosine
-        hi = min(_strong_cut_cap(p, k, cos_min_j) - 1e-9 * p, adm.hi - _EDGE * p)
+        hi = np.minimum(_strong_cut_cap(p, k, cos_min) - 1e-9 * p, p - _EDGE * p)
     elif reg is Regime.MILD:
-        p1 = float(config.targets.norms[0])
-        floor = k * p + (1.0 + k) * (config.b1 - k * p1) / (1.0 - k)
-        lo = max(adm.lo + _EDGE * p, floor)
-        hi = min((config.tau - k) * p, cos_min_j * p - 1e-9 * p)
+        floor = k * p + (1.0 + k) * (config.b1 - k * p[0]) / (1.0 - k)
+        lo = np.maximum(k * p + _EDGE * p, floor)
+        hi = np.minimum((config.tau - k) * p, cos_min * p - 1e-9 * p)
     else:
-        lo = adm.lo + _CRIT_CUT_MARGIN * p
-        hi = min(adm.hi - _EDGE * p, cos_min_j * p - _CRIT_CUT_MARGIN * p)
-    if not (lo < hi):
-        raise InfeasibleGeometryError(
-            f"empty search range for target {j}: [{lo}, {hi}]"
-        )
+        lo = -p + _CRIT_CUT_MARGIN * p
+        hi = np.minimum(p - _EDGE * p, cos_min * p - _CRIT_CUT_MARGIN * p)
     return lo, hi
 
 
@@ -383,7 +365,7 @@ def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> Ref
     quadrature (all non-anchor measures exactly zero).
 
     A strong sheet parks at the floor of its admissible range, kappa|P| +
-    _EDGE|P|, which `_coordinate_range` keeps its search above.  There it
+    _EDGE|P|, the floor of its search range (`_search_ranges`).  There it
     lies within its rim radius sqrt((kappa^2|P|^2 - b^2)/(kappa^2 - 1)) of
     the source (about 1.5e-6|P| at kappa = -1.5; criterion 4's h_max), and
     its support cut 1/kappa + O(1e-6) lies below every aperture cosine by
@@ -523,7 +505,7 @@ class _CoordinateWorkspace:
     The window check cannot fire on the search range, so neither the
     skipped terms nor the points a predicted visit skips would raise there.
     The critical regime has none.  Strong: every b lies at least 1e-9 |P|
-    below the aperture cut cap (`_coordinate_range`), which keeps the
+    below the aperture cut cap (`_search_ranges`), which keeps the
     discriminant >= kappa^2 (1e-9 |P|)^2 on every node, so the refraction
     cosine exceeds 1/kappa by sqrt(disc) / (kappa^2 |z - P|) > 1e-10.  Mild:
     for any point z = h x, c - kappa = (d - b(h)) / |z - P| with
@@ -591,8 +573,7 @@ class _CoordinateWorkspace:
         self.slack = sense.sign * 1e-7 * (1.0 - self.kappa) * math.sqrt(self.p2)
         edge = self.other * sense.tie
         r = np.where(sense.reaches(self.low, edge), self.low / sense.tie, edge)
-        dist = np.sqrt(np.maximum(r * r - 2.0 * r * self.dots + self.p2, 0.0))
-        self.switch = r - dist if self.lossless else r + self.kappa * dist
+        self.switch = ovals.parameter_from_dots(self.regime, self.kappa, self.p2, r, self.dots)
 
     def _nodes(self, b: float):
         """Candidate nodes at b, in node order: a superset of those owned."""
@@ -702,7 +683,7 @@ def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,
     target between G_j(above) and a strong peak the answer changes twice,
     and the probe of `above` refutes the walk.  The probes it skips cannot
     raise: `ws.supported` checks support at every midpoint at once, and the
-    window check cannot fire on the search range (`_CoordinateWorkspace`).
+    window check cannot fire on `_search_ranges` (`_CoordinateWorkspace`).
     Without a prediction, with a midpoint off the support, or when a probe
     refutes the walk, the plain loop runs, reusing every answer.
     """
@@ -754,7 +735,10 @@ def _sweep_stage(
     m = tgt.count
     tol = config.tolerances
     increasing = state.regime.max_envelope
-    cos_mins = _cosine_minima(rule, tgt)
+    lo, hi = _search_ranges(config, rule)
+    for j in range(1, m):
+        if not lo[j] < hi[j]:
+            raise InfeasibleGeometryError(f"empty search range for target {j}: [{lo[j]}, {hi[j]}]")
     b = state.b.copy()
 
     # checks every sheet's support on this rule; each later row of H is the
@@ -780,10 +764,19 @@ def _sweep_stage(
             if abs(g_now - target_j) <= 0.25 * stage_tol_abs:
                 counts.append(1)
                 continue
-            lo, hi = _coordinate_range(config, j, C1_est, float(cos_mins[j]))
-            below, above = (lo, hi) if increasing else (hi, lo)
+            p = float(tgt.norms[j])
+            # strong: the radius-estimate bracket [C1(1-k) + k|P|, sqrt(k^2
+            # (|P|^2 - C1^2) + C1^2)] ends at or above |P| for 0 < C1 < |P|,
+            # past the search range; for C1 > |P| it is empty (its lower end
+            # exceeds |P| by (C1 - |P|)(1-k) > 0, its upper end lies below),
+            # and at C1 = |P| both ends are |P| up to rounding
+            if increasing and not (0.0 < C1_est < p):
+                raise InfeasibleGeometryError(
+                    f"radius estimate {C1_est} for target {j} must lie in (0, {p})"
+                )
+            below, above = (lo[j], hi[j]) if increasing else (hi[j], lo[j])
             bj, evals, exhausted = _bisect_coordinate(
-                ws, below, above, target_j, tol.b_tol * float(tgt.norms[j]), not increasing,
+                ws, float(below), float(above), target_j, tol.b_tol * p, not increasing,
                 (float(b[j]), g_now),
             )
             b[j] = bj
@@ -1078,18 +1071,18 @@ class RefinementReport:
 _TEST_LEVEL = 2
 
 
-def _test_cells(patch: DiskPatch, cells: np.ndarray, n_side: int) -> np.ndarray:
+def _test_cells(anchor_cell: np.ndarray, cells: np.ndarray, n_side: int) -> np.ndarray:
     """Flat index of the test cell of each atom, given the `cells` and
     `n_side` that `dyadic_atoms(patch, level)` returns.
 
     Dyadic cells nest, so an atom's test cell is the ancestor of its own
-    cell.  The anchor atom, listed first, takes the anchor's test cell, which
-    `dyadic_atoms(patch, _TEST_LEVEL)` lists first: at level 1 the anchor's
-    own cell is the whole chart square.
+    cell.  The anchor atom, listed first, takes the anchor's test cell
+    `anchor_cell`, which `dyadic_atoms(patch, _TEST_LEVEL)` lists first: at
+    level 1 the anchor's own cell is the whole chart square.
     """
     side = 2 ** (_TEST_LEVEL - 1)
     test = cells * side // n_side
-    test[0] = dyadic_atoms(patch, _TEST_LEVEL)[2][0]
+    test[0] = anchor_cell
     return test[:, 0] * side + test[:, 1]
 
 
@@ -1113,8 +1106,8 @@ def _child_start(config: ProblemConfig, ladder: list, parent: FieldEvaluation,
     rho - |rho x - P_c|), and reaches past it for b_c >= s_c(x) (min
     envelope: b_c <= s_c(x)).  So b_c is the order statistic of s_c over
     those nodes that lets the child reach on a share `_START_SHARE` of them,
-    clipped into the search range of every ladder rule.  The anchor keeps
-    b1, and a child whose parent owns no node starts parked.
+    clipped into its `_search_ranges` entry on every ladder rule.  The
+    anchor keeps b1, and a child whose parent owns no node starts parked.
     """
     rule, tgt = ladder[-1], config.targets
     kappa, reg = config.medium.kappa, config.medium.regime
@@ -1123,24 +1116,20 @@ def _child_start(config: ProblemConfig, ladder: list, parent: FieldEvaluation,
     # each parent's owned nodes, in node order
     order = np.argsort(parent.assigned, kind="stable")
     bounds = np.searchsorted(parent.assigned[order], np.arange(len(parent_cells) + 1))
-    cos_mins = [_cosine_minima(r, tgt) for r in ladder]
-    C1_est = float(parent.rho.min())
+    lows, highs = zip(*(_search_ranges(config, r) for r in ladder))
+    lo, hi = np.max(lows, axis=0), np.min(highs, axis=0)
     for c in range(1, tgt.count):
         p = parent_of[tuple((cells[c] // 2).tolist())]
         nodes = order[bounds[p]:bounds[p + 1]]
         if not nodes.size:
             continue
         P = tgt.points[c]
-        r = parent.rho[nodes]
-        dots = detmath.dot_rows(rule.nodes[nodes], P)
-        dist = np.sqrt(np.maximum(r * r - 2.0 * r * dots + detmath.dot(P, P), 0.0))
-        s = r - dist if reg.lossless else r + kappa * dist
+        s = ovals.parameter_from_dots(reg, kappa, detmath.dot(P, P), parent.rho[nodes],
+                                      detmath.dot_rows(rule.nodes[nodes], P))
         i = int(_START_SHARE * (s.size - 1))
         if not reg.max_envelope:
             i = s.size - 1 - i
-        ranges = [_coordinate_range(config, c, C1_est, float(cm[c])) for cm in cos_mins]
-        lo, hi = max(lo for lo, _ in ranges), min(hi for _, hi in ranges)
-        b[c] = min(max(float(np.partition(s, i)[i]), lo), hi)
+        b[c] = min(max(float(np.partition(s, i)[i]), float(lo[c])), float(hi[c]))
     return b
 
 
@@ -1170,6 +1159,7 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
     mass_err = 0.0
     status = "converged"
     test_side = 2 ** (_TEST_LEVEL - 1)
+    anchor_cell = dyadic_atoms(problem.patch, _TEST_LEVEL)[2][0]
     # RadonProblem names every solve input of ProblemConfig but the atoms
     shared = {f.name: getattr(problem, f.name)
               for f in fields(ProblemConfig) if f.name != "targets"}
@@ -1192,7 +1182,7 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
         prev_field, prev_cells = solve.field, cells
 
         # energy landing in each fixed test cell
-        test_cells = _test_cells(problem.patch, cells, n_side)
+        test_cells = _test_cells(anchor_cell, cells, n_side)
         cell_energy = np.zeros(test_side * test_side)
         np.add.at(cell_energy, test_cells, solve.measures)
 

@@ -323,8 +323,7 @@ def test_criterion_6_brute_force_scan(solved_cases):
         rule.weights * cfg.density.values_on(rule),
     )
     ws.begin(1)
-    cos_min = float((rule.nodes @ cfg.targets.points[1]).min() / cfg.targets.norms[1])
-    lo, hi = solver._coordinate_range(cfg, 1, sol.min_rho, cos_min)
+    lo, hi = (float(end[1]) for end in solver._search_ranges(cfg, rule))
     step = 1e-4 * (hi - lo)
     grid = lo + step * np.arange(int((hi - lo) / step) + 1)
     # a pass over every node at each grid point: the scan does not rest on
@@ -349,9 +348,9 @@ def test_search_ranges_keep_every_check_quiet(solved_cases):
     for (kappa, m), (cfg, sol, _) in solved_cases.items():
         rule = cfg.rule()
         regime = cfg.medium.regime
-        cos_mins = solver._cosine_minima(rule, cfg.targets)
+        lows, highs = solver._search_ranges(cfg, rule)
         for j in range(1, m):
-            lo, hi = solver._coordinate_range(cfg, j, sol.min_rho, float(cos_mins[j]))
+            lo, hi = float(lows[j]), float(highs[j])
             ends = [f * (hi - lo) for f in 10.0 ** -np.arange(2, 16)]
             grid = np.concatenate([np.linspace(lo, hi, 17), lo + np.array(ends),
                                    hi - np.array(ends)])

@@ -133,6 +133,21 @@ def test_residual_oracle_random(regime):
     assert worst <= 1e-10
 
 
+@pytest.mark.parametrize("regime", [Regime.STRONG, Regime.MILD, Regime.CRITICAL])
+def test_parameter_from_dots_inverts_the_radius(regime):
+    # the parameter of the sheet through each computed surface point is b
+    rng = np.random.default_rng(12)
+    kappas, P, b = sample_ovals(regime, 300, seed=6)
+    worst = 0.0
+    for i in range(300):
+        X = sample_directions_in_support(kappas[i], P[i], b[i], 8, rng)
+        p2, dots = float(P[i] @ P[i]), X @ P[i]
+        h = ovals.radius_from_dots(regime, kappas[i], p2, b[i], dots)
+        back = ovals.parameter_from_dots(regime, kappas[i], p2, h, dots)
+        worst = max(worst, np.max(np.abs(back - b[i])) / np.sqrt(p2))
+    assert worst <= 1e-10
+
+
 def test_defect_sign_tracks_radius_perturbation():
     # pushing the point outward along the ray gives defect ~ delta * x.n > 0
     rng = np.random.default_rng(3)

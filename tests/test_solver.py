@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import negrefractor as nr
-from negrefractor import cli, ovals, refractor, solver
+from negrefractor import cli, detmath, ovals, refractor, solver
 from negrefractor.raytrace import energy_audit, trace_field
 from negrefractor.solver import (
     DiskPatch,
@@ -192,15 +192,113 @@ def test_trace_memory_does_not_scale_with_nodes_times_targets():
 # search ranges
 # ---------------------------------------------------------------------------
 
-def _strong_range(cfg, C1_est):
-    cos_min = float(solver._cosine_minima(cfg.rule(), cfg.targets)[1])
-    return solver._coordinate_range(cfg, 1, C1_est, cos_min)
+def _coordinate_range(config, rule, j, C1_est):
+    """Reference search range of b_j on a rule: the scalar body the table
+    replaced, one target at a time, with its least aperture cosine, its
+    strong floor r0(1 + kappa) + kappa|P| and its two refusals."""
+    k = config.medium.kappa
+    p = float(config.targets.norms[j])
+    reg = config.medium.regime
+    adm = ovals.admissible_b(config.targets.points[j], k)
+    cos_min_j = float(detmath.dot_rows(rule.nodes, config.targets.points[j] / p).min())
+    if reg is ovals.Regime.STRONG:
+        if not (0.0 < C1_est < p):
+            raise solver.InfeasibleGeometryError(
+                f"radius estimate {C1_est} for target {j} must lie in (0, {p})"
+            )
+        lo = max(adm.lo + solver._EDGE * p, config.r0 * (1.0 + k) + k * p)
+        k2 = k * k
+        cap = p * (cos_min_j - math.sqrt((k2 - 1.0) * max(1.0 - cos_min_j * cos_min_j, 0.0)))
+        hi = min(cap - 1e-9 * p, adm.hi - solver._EDGE * p)
+    elif reg is ovals.Regime.MILD:
+        p1 = float(config.targets.norms[0])
+        floor = k * p + (1.0 + k) * (config.b1 - k * p1) / (1.0 - k)
+        lo = max(adm.lo + solver._EDGE * p, floor)
+        hi = min((config.tau - k) * p, cos_min_j * p - 1e-9 * p)
+    else:
+        lo = adm.lo + solver._CRIT_CUT_MARGIN * p
+        hi = min(adm.hi - solver._EDGE * p, cos_min_j * p - solver._CRIT_CUT_MARGIN * p)
+    if not (lo < hi):
+        raise solver.InfeasibleGeometryError(
+            f"empty search range for target {j}: [{lo}, {hi}]"
+        )
+    return lo, hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_search_ranges_equal_the_scalar_reference(data):
+    # bit for bit on every target, the anchor's too, in every regime; a
+    # range the reference refuses as empty is empty in the table, and the
+    # strong floor r0(1 + kappa) + kappa|P|, also where the product
+    # underflows, never lifts a strong range
+    regime = data.draw(st.sampled_from(list(ovals.Regime)))
+    kappa = data.draw(_KAPPAS[regime.value])
+    r0 = data.draw(st.one_of(st.sampled_from([5e-324, 1e-310, 1e-300]),
+                             st.floats(0.0, 10.0, exclude_min=True)))
+    tau, b1 = data.draw(st.floats(-1.0, 3.0)), data.draw(st.floats(-3.0, 3.0))
+    m = data.draw(st.integers(1, 4))
+    angles = data.draw(st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(-3.2, 3.2),
+                                          st.floats(0.3, 3.0)), min_size=m, max_size=m))
+    points = np.array([[r * math.sin(t) * math.cos(a), r * math.sin(t) * math.sin(a),
+                        r * math.cos(t)] for t, a, r in angles])
+    level = data.draw(st.integers(2, 4))
+    cfg = _replace(symmetric_pair_config(-1.5), medium=nr.MediumPair(kappa, 1.0, 0.5),
+                   targets=nr.TargetSpec(points, np.full(m, 0.1)),
+                   b1=b1, tau=tau, r0=r0, quadrature_level=level)
+    rule = cfg.rule()
+    lo, hi = solver._search_ranges(cfg, rule)
+    assert lo.shape == hi.shape == (m,)
+    for j in range(m):
+        p = float(cfg.targets.norms[j])
+        if regime is ovals.Regime.STRONG:
+            assert r0 * (1.0 + kappa) + kappa * p <= kappa * p + solver._EDGE * p
+        try:
+            ref = _coordinate_range(cfg, rule, j, 0.5 * p)
+        except solver.InfeasibleGeometryError as exc:
+            assert "empty search range" in str(exc)
+            assert not lo[j] < hi[j]
+            continue
+        assert (float(lo[j]).hex(), float(hi[j]).hex()) == (ref[0].hex(), ref[1].hex())
+
+
+def _sweep_from_parked(cfg, rho=None):
+    """One sweep of `_sweep_stage` on the config's rule from the parked
+    state; with `rho`, the entry field reads that radius at every node, so
+    the sweep's radius estimate C1 is `rho`.  Returns the new b and the
+    sweep record."""
+    cfg = _replace(cfg, tolerances=solver.Tolerances(max_outer=1))
+    rule = cfg.rule()
+    state = init_state(cfg, rule)
+    wf = rule.weights * cfg.density.values_on(rule)
+    field_of, calls = refractor.field_of, []
+
+    def entry(*args):
+        field = field_of(*args)
+        calls.append(1)
+        if rho is None or len(calls) > 1:
+            return field
+        return replace(field, rho=np.full_like(field.rho, rho))
+
+    sweeps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refractor, "field_of", entry)
+        new, _, _, _ = solver._sweep_stage(cfg, rule, state, wf, 1e-4 * cfg.targets.total, sweeps)
+    return new.b, sweeps[0]
+
+
+def _refused_radius(cfg, rho):
+    p = float(cfg.targets.norms[1])
+    message = f"radius estimate {float(rho)} for target 1 must lie in (0, {p})"
+    with pytest.raises(solver.InfeasibleGeometryError, match=re.escape(message)):
+        _sweep_from_parked(cfg, rho)
 
 
 def test_bracket_worked_points():
-    # the radius estimate C1 only decides whether the strong search range
-    # exists: inside (0, |P|) the range does not depend on it, from |P| on
-    # it is refused
+    # the entry field's least radius C1 only decides whether a strong visit
+    # may search: inside (0, |P|) the sweep does not depend on it, from |P|
+    # on its first visit is refused
     cfg = symmetric_pair_config(-1.5)
     cfg = _replace(
         cfg,
@@ -212,32 +310,66 @@ def test_bracket_worked_points():
         b1=-1.9,
     )
     p = float(cfg.targets.norms[1])
-    lo, hi = _strong_range(cfg, 0.2)
+    lo, hi = solver._search_ranges(cfg, cfg.rule())
     adm = nr.admissible_b(cfg.targets.points[1], -2.0)
-    assert adm.lo < lo < hi < adm.hi
-    for C1_est in (1e-12, 0.999 * p):
-        assert _strong_range(cfg, C1_est) == (lo, hi)
-    for C1_est in (p, np.nextafter(p, np.inf), 1.5 * p):
-        with pytest.raises(solver.InfeasibleGeometryError):
-            _strong_range(cfg, C1_est)
+    assert adm.lo < lo[1] < hi[1] < adm.hi
+    b, sweep = _sweep_from_parked(cfg, 0.2)
+    assert sweep["C1_est"] == 0.2 and sweep["bisection_evals"][0] > 1
+    assert lo[1] <= b[1] <= hi[1]
+    for rho in (1e-12, 0.999 * p):
+        got_b, got = _sweep_from_parked(cfg, rho)
+        assert got_b.tobytes() == b.tobytes()
+        assert got["bisection_evals"] == sweep["bisection_evals"]
+    for rho in (p, np.nextafter(p, np.inf), 1.5 * p):
+        _refused_radius(cfg, rho)
 
 
 def test_bracket_degenerate_radius_limit():
-    # as C1 -> 0 the strong range still exists, starts at kappa|P| and is
-    # the same range a mid-size estimate gives
+    # as C1 -> 0 the strong range still exists, starts at kappa|P|, and the
+    # sweep searches it as it does under a mid-size estimate
     cfg = symmetric_pair_config(-1.5)
     p = float(cfg.targets.norms[1])
-    lo, hi = _strong_range(cfg, 1e-12)
-    assert lo == pytest.approx(cfg.medium.kappa * p, abs=1e-9)
-    assert lo < hi
-    assert _strong_range(cfg, 0.5 * p) == (lo, hi)
+    lo, hi = solver._search_ranges(cfg, cfg.rule())
+    assert lo[1] == pytest.approx(cfg.medium.kappa * p, abs=1e-9)
+    assert lo[1] < hi[1]
+    b, sweep = _sweep_from_parked(cfg, 1e-12)
+    got_b, got = _sweep_from_parked(cfg, 0.5 * p)
+    assert got_b.tobytes() == b.tobytes()
+    assert got["bisection_evals"] == sweep["bisection_evals"]
 
 
 def test_bracket_requires_positive_radius():
     cfg = symmetric_pair_config(-1.5)
-    for C1_est in (0.0, -1e-12, float("nan")):
-        with pytest.raises(solver.InfeasibleGeometryError):
-            _strong_range(cfg, C1_est)
+    for rho in (0.0, -1e-12, float("nan")):
+        _refused_radius(cfg, rho)
+
+
+def test_sweeps_refuse_an_empty_search_range_at_stage_entry():
+    # as |P| shrinks, a mild range's floor k|P| + (1 + k)(b1 - k|P_1|)/(1 - k)
+    # rises while its cone cap (tau - k)|P| falls: near targets have an
+    # empty range, and the sweeps refuse the first of them before any visit
+    cfg = symmetric_pair_config(-0.5)
+    P1, P2 = cfg.targets.points
+    cfg = _replace(cfg, targets=nr.TargetSpec(np.array([P1, P2, 0.01 * P2, 0.01 * P1]),
+                                              np.full(4, 0.1)))
+    rule = cfg.rule()
+    lo, hi = solver._search_ranges(cfg, rule)
+    assert lo[1] < hi[1] and not lo[2] < hi[2] and not lo[3] < hi[3]
+    state = nr.RefractorState(cfg.medium, cfg.targets, solver._parked(cfg, rule))
+    visits = []
+    begin = solver._CoordinateWorkspace.begin
+
+    def counted(ws, j):
+        visits.append(j)
+        return begin(ws, j)
+
+    message = f"empty search range for target 2: [{lo[2]}, {hi[2]}]"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._CoordinateWorkspace, "begin", counted)
+        with pytest.raises(solver.InfeasibleGeometryError, match=re.escape(message)):
+            solver._sweep_stage(cfg, rule, state, rule.weights * cfg.density.values_on(rule),
+                                1e-4 * cfg.targets.total, [])
+    assert visits == []
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +563,7 @@ def test_solve_matches_brute_force_scan(strong_pair_solution):
         rule.weights * cfg.density.values_on(rule),
     )
     ws.begin(1)
-    cos_min = float(
-        (rule.nodes @ cfg.targets.points[1]) .min() / cfg.targets.norms[1]
-    )
-    lo, hi = solver._coordinate_range(cfg, 1, sol.min_rho, cos_min)
+    lo, hi = (float(end[1]) for end in solver._search_ranges(cfg, rule))
     step = 1e-4 * (hi - lo)
     grid = lo + step * np.arange(int((hi - lo) / step) + 1)
     # a pass over every node per point, as in criterion 6
@@ -494,24 +623,23 @@ def test_accepted_parameters_stay_in_valid_brackets():
         rule = cfg.rule()
         sol = solve_discrete(cfg, rule)
         assert sol.converged
-        cos_mins = solver._cosine_minima(rule, cfg.targets)
+        lo, hi = solver._search_ranges(cfg, rule)
         for j in range(1, 5):
             adm = nr.admissible_b(cfg.targets.points[j], kappa)
             assert adm.contains(float(sol.b[j]))
-            lo, hi = solver._coordinate_range(cfg, j, sol.min_rho, float(cos_mins[j]))
-            assert lo <= sol.b[j] <= hi
+            assert lo[j] <= sol.b[j] <= hi[j]
 
 
 def test_unreachable_target_ends_bracket_exhausted(monkeypatch):
     # a range too narrow to reach the target, and one sweep per stage
     cfg = _replace(symmetric_pair_config(-1.5, level=5), tolerances=solver.Tolerances(max_outer=1))
-    real = solver._coordinate_range
+    real = solver._search_ranges
 
-    def narrow(config, j, C1_est, cos_min_j):
-        lo, hi = real(config, j, C1_est, cos_min_j)
+    def narrow(config, rule):
+        lo, hi = real(config, rule)
         return lo, lo + 1e-6 * (hi - lo)
 
-    monkeypatch.setattr(solver, "_coordinate_range", narrow)
+    monkeypatch.setattr(solver, "_search_ranges", narrow)
     sol = solve_discrete(cfg)
     assert sol.status == "bracket_exhausted"
     assert sol.sweeps[-1]["exhausted"] and sol.sweeps[-1]["level"] == 5
@@ -854,9 +982,19 @@ def test_refine_level_one_is_single_atom_solve():
     assert rep.mass_error <= 1e-12 * prob.patch.total_mass()
 
 
-def test_refine_two_levels_feasible_and_conservative():
+def test_refine_two_levels_feasible_and_conservative(monkeypatch):
     prob = _disk_problem(level=7)
+    atomized = []
+    real = solver.dyadic_atoms
+
+    def counted(patch, level):
+        atomized.append(level)
+        return real(patch, level)
+
+    monkeypatch.setattr(solver, "dyadic_atoms", counted)
     rep = refine_radon(prob, levels=2)
+    # each level once, and the anchor's test cell once per call
+    assert sorted(atomized) == sorted([1, 2, solver._TEST_LEVEL])
     assert rep.converged
     assert len(rep.sup_diffs) == 1 and rep.sup_diffs[0] > 0.0
     for row in rep.levels:
@@ -956,13 +1094,11 @@ def test_warm_child_start_properties(kappa):
     parents = [parent_index(tuple((cells[c] // 2).tolist())) for c in range(len(cells))]
     assert b[0] == config.b1
     tgt = config.targets
-    C1 = float(parent.rho.min())
     sense = refractor.envelope_sense(config.medium.regime)
+    ranges = [solver._search_ranges(config, r) for r in ladder]
     unclipped = 0
     for c in range(1, tgt.count):
-        ranges = [solver._coordinate_range(config, c, C1, float(solver._cosine_minima(r, tgt)[c]))
-                  for r in ladder]
-        lo, hi = max(r[0] for r in ranges), min(r[1] for r in ranges)
+        lo, hi = max(r[0][c] for r in ranges), min(r[1][c] for r in ranges)
         assert lo <= b[c] <= hi, (c, lo, b[c], hi)
         if lo < b[c] < hi:
             unclipped += 1
@@ -1028,10 +1164,11 @@ def _projected_test_cells(patch, points):
 def test_test_cells_are_the_projected_cells(normal, anchor_uv):
     patch = DiskPatch(center=np.array([0.011, 0.007, 1.0]), normal=np.array(normal),
                       radius=0.05, density=1.0, anchor_uv=anchor_uv)
+    anchor_cell = dyadic_atoms(patch, solver._TEST_LEVEL)[2][0]
     for level in range(1, 6):
         points, _, cells, n_side = dyadic_atoms(patch, level)
         ref, anchor = _projected_test_cells(patch, points)
-        got = solver._test_cells(patch, cells, n_side)
+        got = solver._test_cells(anchor_cell, cells, n_side)
         assert got[0] == anchor
         assert np.array_equal(got[1:], ref[1:]), level
 
@@ -1056,13 +1193,8 @@ def _solved_workspace(kappa):
     sol = solve_discrete(cfg, rule)
     H = refractor.sheet_radii(sol.state, rule.nodes)
     ws = solver._CoordinateWorkspace(cfg, rule, H, rule.weights * cfg.density.values_on(rule))
-    C1_est = float(refractor.assign_envelope(H, sol.state.regime)[0].min())
-    cos_mins = solver._cosine_minima(rule, cfg.targets)
-    ranges = [
-        solver._coordinate_range(cfg, j, C1_est, float(cos_mins[j]))
-        for j in range(cfg.targets.count)
-    ]
-    return cfg, ws, ranges
+    lo, hi = solver._search_ranges(cfg, rule)
+    return cfg, ws, list(zip(lo.tolist(), hi.tolist()))
 
 
 def _begin(kappa, j):
