@@ -88,8 +88,10 @@ def make_cap(axis, half_angle: float, dim: int | None = None) -> SourceDomain:
 class QuadratureRule:
     """Nodes (N, dim) and positive weights (N,) approximating the cap measure.
 
-    grid_shape records the (polar, azimuth) layout for n=3 (polar-major
-    ordering) and (N,) for n=2; it drives neighbor pairing and mesh export.
+    The nodes are column-major, as the kernels read them one coordinate
+    column at a time (detmath.dot_rows).  grid_shape records the (polar,
+    azimuth) layout for n=3 (polar-major ordering) and (N,) for n=2; it
+    drives neighbor pairing and mesh export.
     """
 
     domain: SourceDomain
@@ -124,7 +126,8 @@ def build_quadrature(domain: SourceDomain, level: int) -> QuadratureRule:
         # the axis rotated by each sub-arc midpoint offset
         c, s = detmath.cos_sin(-theta0 + (np.arange(count) + 0.5) * step)
         a0, a1 = domain.axis
-        nodes = np.column_stack([c * a0 - s * a1, c * a1 + s * a0])
+        nodes = np.empty((count, 2), order="F")
+        nodes[:, 0], nodes[:, 1] = c * a0 - s * a1, c * a1 + s * a0
         weights = np.full(count, step)
         return QuadratureRule(domain, nodes, weights, int(level), (count,))
 
@@ -143,11 +146,11 @@ def build_quadrature(domain: SourceDomain, level: int) -> QuadratureRule:
     cu = np.repeat(u, n_az)
     su = np.repeat(sin_theta, n_az)
     cos_phi, sin_phi = detmath.cos_sin(phi)
-    cp = np.tile(cos_phi, n_polar)
-    sp = np.tile(sin_phi, n_polar)
-    nodes = (
-        np.outer(su * cp, e1) + np.outer(su * sp, e2) + np.outer(cu, domain.axis)
-    )
+    sc = su * np.tile(cos_phi, n_polar)
+    ss = su * np.tile(sin_phi, n_polar)
+    nodes = np.empty((cu.size, 3), order="F")
+    for k in range(3):
+        nodes[:, k] = sc * e1[k] + ss * e2[k] + cu * domain.axis[k]
     weights = np.repeat(wu, n_az) * wphi
     return QuadratureRule(domain, nodes, weights, int(level), (n_polar, n_az))
 

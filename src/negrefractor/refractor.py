@@ -194,13 +194,19 @@ def assign_envelope(H: np.ndarray, regime: Regime):
 
     A sheet is 'in band' when within TIE_TOL * rho of the envelope; ties are
     nodes with more than one sheet in band.  The first sheet in band is the
-    one `owned` picks, with `low` the envelope of the earlier rows.
+    one `owned` picks, with `low` the envelope of the earlier rows.  One pass
+    over the rows in index order finds both, with no (m, N) band matrix.
     """
     sense = envelope_sense(regime)
     rho = sense.fold.reduce(H, axis=0)
-    band = sense.reaches(H, rho * sense.tie)
-    assigned = np.argmax(band, axis=0)
-    tie = band.sum(axis=0) > 1
+    edge = rho * sense.tie
+    assigned = np.zeros(rho.shape, dtype=np.intp)
+    seen, tie = np.zeros((2,) + rho.shape, dtype=bool)
+    for k, h in enumerate(H):
+        row = sense.reaches(h, edge)
+        tie |= seen & row
+        assigned[row & ~seen] = k
+        seen |= row
     return rho, assigned, tie
 
 

@@ -4,7 +4,10 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 The solved fixtures (criterion 5) are shared by criteria 6-10.
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +37,8 @@ def _line(num, ok, detail):
 # shared solved fixtures (criterion 5 inputs, reused by 6-10)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def solved_cases():
+def solve_cases():
+    """Criterion 5's solves: {(kappa, m): (config, solution, wall seconds)}."""
     cases = {}
     for kappa in KAPPAS:
         for m in SIZES:
@@ -44,6 +47,11 @@ def solved_cases():
             sol = nr.solve_discrete(cfg)
             cases[(kappa, m)] = (cfg, sol, time.perf_counter() - t0)
     return cases
+
+
+@pytest.fixture(scope="module")
+def solved_cases():
+    return solve_cases()
 
 
 def _disk_problem():
@@ -67,10 +75,31 @@ def _disk_problem():
     )
 
 
-@pytest.fixture(scope="module")
-def refined_case():
+def refine_case():
+    """Criterion 9's refinement: (problem, refine_radon report)."""
     prob = _disk_problem()
     return prob, refine_radon(prob, levels=4)
+
+
+@pytest.fixture(scope="module")
+def refined_case():
+    return refine_case()
+
+
+# sha256 of the report bytes of every criterion-5 solve and of criterion 9's
+# refinement; tests/fixture_digests.py regenerates the table
+DIGESTS = Path(__file__).parent / "data" / "fixture_digests.json"
+
+
+def fixture_digests(solved, refined):
+    """The digest table of `solve_cases()` and `refine_case()`."""
+    def sha(report):
+        return hashlib.sha256(cli.report_bytes(report.to_dict())).hexdigest()
+
+    table = {f"criterion_5 kappa={kappa} m={m}": sha(sol)
+             for (kappa, m), (_, sol, _) in solved.items()}
+    table["criterion_9"] = sha(refined[1])
+    return table
 
 
 def _sample_batches(regime, n_ovals, dirs_per_oval, seed):
@@ -472,3 +501,13 @@ def test_criterion_10_determinism(solved_cases, refined_case):
     ok &= cli.report_bytes(rep.to_dict()) == cli.report_bytes(rep2.to_dict())
     _line(10, ok, "re-solving criteria 5 and 9 and re-auditing produced byte-identical reports")
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# pinned fixture bytes
+# ---------------------------------------------------------------------------
+
+def test_fixture_digests_are_pinned(solved_cases, refined_case):
+    # the report bytes of criteria 5 and 9, which the golden does not
+    # cover, equal the committed table
+    assert fixture_digests(solved_cases, refined_case) == json.loads(DIGESTS.read_text())

@@ -1,6 +1,8 @@
 """Command-line surface: strict schema, exit codes, deterministic reports,
 table/mesh/trace exports."""
 
+import dataclasses
+import importlib
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import pytest
 
 import negrefractor
 from conftest import duplicate_sheet_state, solvable_config, symmetric_pair_config
-from negrefractor import cli, raytrace, refractor, solver
+from negrefractor import cli, geometry, raytrace, refractor, solver
 
 DATA = Path(__file__).parent / "data"
 
@@ -186,6 +188,60 @@ def test_reports_do_not_depend_on_the_blas_kernel(tmp_path):
             docs.append(json.loads(out.read_text()))
         assert cli.report_bytes(docs[0]["report"]) == cli.report_bytes(docs[1]["report"])
         assert docs[0]["report_sha256"] == docs[1]["report_sha256"]
+
+
+def _golden_bytes():
+    golden = json.loads((DATA / "m2_symmetric_report.json").read_text())
+    return cli.report_bytes(golden["report"])
+
+
+def test_reports_do_not_depend_on_the_node_layout(tmp_path, monkeypatch):
+    # the golden solve with every rule's nodes copied to row-major order
+    # gives the golden bytes, which the column-major rule gives too
+    # (test_solve_matches_golden_report)
+    built = []
+
+    def row_major(domain, level):
+        rule = geometry.build_quadrature(domain, level)
+        built.append(dataclasses.replace(rule, nodes=np.ascontiguousarray(rule.nodes)))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "build_quadrature", row_major)
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", str(DATA / "m2_symmetric.json"), "--out", str(out)]) == 0
+    assert built and all(r.nodes.flags.c_contiguous for r in built)
+    assert cli.report_bytes(json.loads(out.read_text())["report"]) == _golden_bytes()
+
+
+def _umath():
+    """numpy's module that lists the CPU features and dispatch targets."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            return importlib.import_module(name)
+        except ImportError:
+            continue
+    return None
+
+
+def test_reports_do_not_depend_on_the_simd_dispatch(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES switches off every SIMD target numpy would
+    # dispatch to on this CPU, so its kernels run on the baseline; the
+    # golden solve must still give the golden bytes
+    umath = _umath()
+    targets = [t for t in getattr(umath, "__cpu_dispatch__", ())
+               if umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target on this CPU")
+    extra = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    env = {**os.environ, **extra}
+    probe = (f"import {umath.__name__} as u; "
+             "print(' '.join(k for k, on in u.__cpu_features__.items() if on))")
+    enabled = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout.split()
+    assert not set(targets) & set(enabled)
+    out = tmp_path / "report.json"
+    _run_cli_subprocess(["solve", str(DATA / "m2_symmetric.json"), "--out", str(out)], extra)
+    assert cli.report_bytes(json.loads(out.read_text())["report"]) == _golden_bytes()
 
 
 def test_versions_sit_outside_the_hashed_report(tmp_path):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from negrefractor import detmath
 from negrefractor.geometry import (
+    _orthonormal_frame,
     build_quadrature,
     cap_measure,
     make_cap,
@@ -254,3 +256,40 @@ def test_rule_is_built_from_the_deterministic_kernels():
     polar = rule.nodes.reshape(8, 16, 3)[:, 0, 2]
     assert np.array_equal(polar, 0.5 * (u_lo + 1.0) + 0.5 * (1.0 - u_lo) * gl_nodes)
     assert all(cap.contains(x) for x in rule.nodes)
+
+
+def _row_major_nodes(domain, level):
+    """The nodes of `build_quadrature` as a C-order array, built the way
+    the rule built them before it became column-major: column_stack in
+    2-D, a sum of outer products in 3-D."""
+    if domain.dim == 2:
+        count = 4**level
+        step = 2.0 * domain.half_angle / count
+        c, s = detmath.cos_sin(-domain.half_angle + (np.arange(count) + 0.5) * step)
+        a0, a1 = domain.axis
+        return np.column_stack([c * a0 - s * a1, c * a1 + s * a0])
+    n_polar, n_az = 2**level, 2 ** (level + 1)
+    u_lo = domain.cos_half_angle
+    u = 0.5 * (u_lo + 1.0) + 0.5 * (1.0 - u_lo) * detmath.gauss_legendre(n_polar)[0]
+    phi = -np.pi + (np.arange(n_az) + 0.5) * (2.0 * np.pi / n_az)
+    su = np.repeat(np.sqrt(np.clip(1.0 - u * u, 0.0, None)), n_az)
+    cos_phi, sin_phi = detmath.cos_sin(phi)
+    cp, sp = np.tile(cos_phi, n_polar), np.tile(sin_phi, n_polar)
+    e1, e2 = _orthonormal_frame(domain.axis)
+    return np.outer(su * cp, e1) + np.outer(su * sp, e2) + np.outer(np.repeat(u, n_az), domain.axis)
+
+
+@pytest.mark.parametrize("axis,level", [
+    ([0.0, 0.0, 1.0], 3), ([0.0, 0.0, 1.0], 8), ([1.0, 0.0, 0.0], 3),
+    ([0.6, 0.0, 0.8], 8), ([0.48, -0.6, 0.64], 5),
+    ([0.0, 1.0], 1), ([0.0, 1.0], 6), ([0.6, -0.8], 4),
+])
+def test_node_layout_is_column_major_and_equals_the_row_major_build(axis, level):
+    # every coordinate column is contiguous, and the values are the old
+    # build's byte for byte
+    cap = make_cap(axis, np.pi / 6, len(axis))
+    nodes = build_quadrature(cap, level).nodes
+    assert nodes.flags.f_contiguous
+    ref = _row_major_nodes(cap, level)
+    assert nodes.shape == ref.shape and nodes.dtype == ref.dtype
+    assert nodes.tobytes(order="C") == ref.tobytes()

@@ -1,12 +1,15 @@
 """Envelope surface: assignment, ties, measures, and response to parameters."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import negrefractor as nr
-from negrefractor import fresnel, ovals
+from negrefractor import fresnel, ovals, refractor
 from negrefractor.raytrace import trace_field, trace_one
 from negrefractor.refractor import (
     ConfigurationError,
@@ -18,7 +21,7 @@ from negrefractor.refractor import (
     measures,
     sheet_radii,
 )
-from conftest import DEG, sheet_extremes, symmetric_pair_config
+from conftest import DEG, duplicate_sheet_state, sheet_extremes, symmetric_pair_config
 
 
 def _single_state(kappa=-1.5, b=None):
@@ -313,3 +316,74 @@ def test_sheet_radii_names_the_unsupported_node():
     X = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [1.0, 0.0, 0.0]])
     with pytest.raises(ConfigurationError, match="sheet 0 not evaluable at node 2"):
         sheet_radii(state, X)
+
+
+def _band_assignment(H, regime):
+    """The (m, N) in-band matrix form of `assign_envelope`: the lowest
+    in-band row by argmax, ties by counting the rows in band."""
+    sense = refractor.envelope_sense(regime)
+    rho = sense.fold.reduce(H, axis=0)
+    band = sense.reaches(H, rho * sense.tie)
+    assigned = np.argmax(band, axis=0)
+    tie = band.sum(axis=0) > 1
+    return rho, assigned, tie
+
+
+def _assert_same_envelope(H, regime):
+    for got, ref in zip(assign_envelope(H, regime), _band_assignment(H, regime)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+# factors f of the band edge rho (1 - sign f TIE_TOL): f <= 1 is in band, f > 1 out
+_EDGE_FACTORS = (0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(regime=st.sampled_from(list(ovals.Regime)), m=st.integers(1, 6),
+       n=st.integers(1, 12), data=st.data())
+def test_one_pass_envelope_equals_the_band_reference(regime, m, n, data):
+    # bit for bit and dtype for dtype, in both envelope senses: random radii,
+    # rows duplicated from earlier rows (exact ties), and radii set next to
+    # the band edge, inside and just outside TIE_TOL, or NaN
+    sense = refractor.envelope_sense(regime)
+    H = np.array(data.draw(st.lists(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n),
+                                    min_size=m, max_size=m)))
+    for j in range(1, m):
+        copy = data.draw(st.integers(-1, j - 1))
+        if copy >= 0:
+            H[j] = H[copy]
+    rho = sense.fold.reduce(H, axis=0)
+    for j in range(m):
+        for i in range(n):
+            f = data.draw(st.sampled_from((None, None) + _EDGE_FACTORS + (np.nan,)))
+            if f is not None:
+                H[j, i] = rho[i] * (1.0 - sense.sign * f * refractor.TIE_TOL)
+    _assert_same_envelope(H, regime)
+
+
+@pytest.mark.parametrize("regime", [ovals.Regime.STRONG, ovals.Regime.MILD])
+@pytest.mark.parametrize("third_sheet", [False, True])
+def test_one_pass_envelope_on_duplicate_sheets(regime, third_sheet):
+    # exact ties on every node (two equal sheets) and on 216 of 512 (three
+    # sheets), read as a max and as a min envelope, and one or two rows of it
+    state, rule = duplicate_sheet_state(third_sheet)
+    H = sheet_radii(state, rule.nodes)
+    for rows in (1, 2, H.shape[0]):
+        _assert_same_envelope(H[:rows], regime)
+
+
+def test_envelope_memory_does_not_scale_with_nodes_times_targets():
+    # at 60 sheets on 131,072 nodes one (m, N) bool array is 7.5 MiB; the
+    # assignment keeps a few (N,) arrays instead
+    H = 1.0 + 1e-12 * np.random.default_rng(3).random((60, 131072))
+    for regime in (ovals.Regime.STRONG, ovals.Regime.MILD):
+        tracemalloc.start()
+        try:
+            _, _, tie = assign_envelope(H, regime)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tie.all()
+        assert peak < 6 * 2**20, peak
