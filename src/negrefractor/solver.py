@@ -47,6 +47,9 @@ _CRIT_CUT_MARGIN = 1e-9
 # head and a rest, and the float64 machine epsilon.
 _EARLY_MIN = 1024
 _EPS = float(np.finfo(float).eps)
+# Coordinate visits cull the nodes in tiles of this many consecutive ones on
+# rules of at least _CULL_MIN nodes; on fewer, bounds cost more than they spare.
+_TILE, _CULL_MIN = 16, 16384
 
 
 class ValidationFailure(ValueError):
@@ -461,7 +464,7 @@ class _CoordinateWorkspace:
     envelope assignment.  A coordinate visit bisects G_j some 45 levels deep
     but probes it only a few times (`_bisect_coordinate`); every probe, the
     start energy included, looks only at the candidate nodes of `begin`.
-    Three facts keep every probe bit-identical to a pass over all nodes.
+    Four facts keep every probe bit-identical to a pass over all nodes.
 
     Superset.  Let `low` / `other` be the envelope of the lower-indexed / of
     all other sheets, c the tie factor of `refractor.envelope_sense`, home of
@@ -484,6 +487,18 @@ class _CoordinateWorkspace:
     values, so it adds next to no nodes.  The owned nodes, their radii and
     their Fresnel terms are computed elementwise from the same values, in
     node order, so the sum sees the same array and returns the same bits.
+
+    Culling.  Switch values are computed only on the tiles of `_TILE` nodes
+    whose bound lets a candidate through.  With s(h, d) = b(h) at d = x . P,
+    ds/dd = -kappa h / |h x - P| > 0 and s is concave in h (d2s/dh2 = kappa
+    (|P|^2 - d^2) / |h x - P|^3).  Max envelope: on a tile with `other` in
+    [o_lo, o_hi] and d >= d_lo, r* lies in [o_lo c, o_hi / c], so s >=
+    min(s(o_lo c, d_lo), s(o_hi / c, d_lo)).  Min: ds/dh >= 1 - |kappa| >= 0
+    and r* <= o_hi c, so s <= s(o_hi c, d_hi).  The corners round as the
+    nodes do, so a tile whose bound clears b + slack by one more |slack|, far
+    above the rounding of s, holds no candidate at b.  A prediction reads
+    the tiles live at b, and toward more ownership those next in the order
+    of their bounds, until none left out can hold a value before its answer.
 
     Support.  `ovals.support_from_dots` decides support from d = x . P alone,
     and its computed mask holds on an interval of d in every regime, so
@@ -533,6 +548,7 @@ class _CoordinateWorkspace:
         self.regime = regime = config.medium.regime
         self.sense = envelope_sense(regime)
         self.lossless = regime.lossless
+        self.width = math.gcd(rule.count, _TILE) if rule.count >= _CULL_MIN else rule.count
         self.end_sweep()
 
     def end_sweep(self):
@@ -543,7 +559,7 @@ class _CoordinateWorkspace:
 
     def begin(self, j: int):
         """Envelopes of the lower-indexed (`low`), the higher-indexed
-        (`high`) and all other (`other`) sheets, and the switch parameters.
+        (`high`) and all other (`other`) sheets, and the tiles' bounds.
 
         A sweep visits j = 1, 2, ... in order and rewrites only row j during
         visit j, so `low` folds in the previous visit's final row, and the
@@ -571,20 +587,48 @@ class _CoordinateWorkspace:
         self.d_min, self.d_max = float(self.dots.min()), float(self.dots.max())
         # signed: b + slack reaches s(x) (>=; min: <=) at every node owned at b
         self.slack = sense.sign * 1e-7 * (1.0 - self.kappa) * math.sqrt(self.p2)
-        edge = self.other * sense.tie
-        r = np.where(sense.reaches(self.low, edge), self.low / sense.tie, edge)
-        self.switch = ovals.parameter_from_dots(self.regime, self.kappa, self.p2, r, self.dots)
+        self.margin, self.reached = 2.0 * abs(self.slack), -math.inf
+        if self.width == self.dots.size:  # one tile: every node's switch value now
+            self.key, self.reached, self.idx = np.full(1, -math.inf), math.inf, np.arange(self.dots.size)
+            self.sw = self._switch(self.low, self.other, self.dots)
+            return
+        # each tile's lower bound on sign s (Culling), from extremes in contiguous rows
+        other, dots = (np.ascontiguousarray(a.reshape(-1, self.width).T) for a in (self.other, self.dots))
+        d = (dots.min if sense.sign > 0 else dots.max)(axis=0)
+        h = (np.concatenate((other.min(axis=0) * sense.tie, other.max(axis=0) / sense.tie))
+             if sense.sign > 0 else other.max(axis=0) * sense.tie)
+        s = ovals.parameter_from_dots(self.regime, self.kappa, self.p2, h.reshape(-1, d.size), d)
+        self.key = np.fmax(sense.sign * s.min(axis=0), -math.inf)  # a NaN bound: always live
 
-    def _nodes(self, b: float):
+    def _switch(self, low, other, dots) -> np.ndarray:
+        """Switch values s(r*) of the nodes with these envelopes and dots."""
+        edge = other * self.sense.tie
+        r = np.where(self.sense.reaches(low, edge), low / self.sense.tie, edge)
+        return ovals.parameter_from_dots(self.regime, self.kappa, self.p2, r, dots)
+
+    def _live(self, x: float) -> np.ndarray:
+        """Every node of the tiles whose key is at most x, in node order."""
+        tiles = np.flatnonzero(self.key <= x)
+        return (tiles[:, None] * self.width + np.arange(self.width)).ravel()
+
+    def _cover(self, x: float):
+        """Evaluate `sw` on the nodes `idx` of the tiles live at x and a margin on."""
+        if x > self.reached:
+            self.idx = self._live(x + self.margin)
+            self.reached = x + self.margin if self.idx.size < self.dots.size else math.inf
+            self.sw = self._switch(self.low[self.idx], self.other[self.idx], self.dots[self.idx])
+
+    def _nodes(self, b: float) -> np.ndarray:
         """Candidate nodes at b, in node order: a superset of those owned."""
-        return self.sense.reaches(b + self.slack, self.switch).nonzero()[0]
+        self._cover(self.sense.sign * b + self.margin)
+        return self.idx[self.sense.reaches(b + self.slack, self.sw)]
 
     def supported(self, b) -> bool:
         """Whether sheet j is supported on every node at b, or at every b of
         an array: at the smallest and the largest d."""
         args = (self.regime, self.kappa, self.p2, b)
-        return bool(np.all(support_from_dots(*args, self.d_min)
-                           & support_from_dots(*args, self.d_max)))
+        lo, hi = support_from_dots(*args, self.d_min), support_from_dots(*args, self.d_max)
+        return bool(lo and hi) if isinstance(b, float) else bool(np.all(lo & hi))
 
     def _check_support(self, b: float):
         """Raise unless sheet j is supported on every node at b."""
@@ -610,22 +654,23 @@ class _CoordinateWorkspace:
     def at_least(self, b: float, target: float, strict: bool = False) -> bool:
         """Whether G_j(b) >= target (> if strict), on the candidates."""
         self._check_support(b)
-        nodes = self._nodes(b)
-        n = len(nodes)
-        cut = 0
+        covered = (x := self.sense.sign * b + self.margin) <= self.reached
+        # the candidates, or all nodes of the live tiles not evaluated yet
+        # (`_terms` keeps the owned ones): n bounds the candidates either way
+        live = self._nodes(b) if covered else self._live(x)
+        n, cut = live.size, 0
         if n >= _EARLY_MIN:
-            # the head: the candidates among the first nodes whose w f sums
-            # to twice the target
+            # the head: those up to where w f sums to twice the target
             last = self.reach.searchsorted(2.0 * target)
-            cut = int(nodes.searchsorted(last, side="right"))
+            cut = int(live.searchsorted(last, side="right"))
         if 0 < cut < n:
-            head = self._terms(b, nodes[:cut])
+            head = self._terms(b, live[:cut])
             bound = float(head.sum()) * (1.0 - 4.0 * n * _EPS)
             if bound > target or (bound == target and not strict):
                 return True
-            terms = np.concatenate((head, self._terms(b, nodes[cut:])))
-        else:
-            terms = self._terms(b, nodes)
+        nodes = live if covered else self._nodes(b)
+        terms = self._terms(b, nodes) if not 0 < cut < n else np.concatenate(
+            (head, self._terms(b, nodes[nodes.searchsorted(last, side="right"):])))
         g = float(terms.sum())
         return g > target if strict else g >= target
 
@@ -636,23 +681,37 @@ class _CoordinateWorkspace:
         prediction can miss; the visit's probes refute it then).  None when
         they do not add up to the target."""
         up = (g < target) == self.regime.max_envelope
-        side = (self.switch > b) if up else (self.switch < b)
-        s, wf = self.switch[side], self.wf[side]
-        key = s if up else -s
-        need, n, k = abs(target - g), len(s), 16
+        x = self.sense.sign * b + self.margin
         while True:
-            near = np.argpartition(key, k - 1)[:k] if k < n else np.arange(n)
-            near = near[np.argsort(key[near])]
-            hit = int(np.cumsum(wf[near]).searchsorted(need))
-            if hit < len(near):
-                return float(s[near[hit]])
-            if k >= n:
-                return None
-            k *= 8
+            self._cover(x)
+            side = (self.sw > b) if up else (self.sw < b)
+            s = _crossing(self.sw[side], self.wf[self.idx[side]], up, abs(target - g))
+            # toward less ownership the side lies in the tiles live at b; toward
+            # more, in those live at the answer, or else in twice as many tiles
+            if not g < target or self.reached == math.inf or (
+                    s is not None and self.sense.sign * s + self.margin <= self.reached):
+                return s
+            k = min(2 * self.idx.size // self.width, self.key.size - 1)
+            x = float(np.partition(self.key, k)[k]) if s is None else self.sense.sign * s + self.margin
 
     def radii_row(self, b: float) -> np.ndarray:
         """Radii of sheet j at a probed b, whose support has been checked."""
         return ovals.radius_from_dots(self.regime, self.kappa, self.p2, b, self.dots)
+
+
+def _crossing(s: np.ndarray, wf: np.ndarray, up: bool, need: float) -> float | None:
+    """The s, least first (up) or greatest, where w f sums to `need`; None if never."""
+    key = s if up else -s
+    n, k = len(s), 16
+    while True:
+        near = np.argpartition(key, k - 1)[:k] if k < n else np.arange(n)
+        near = near[np.argsort(key[near])]
+        hit = int(np.cumsum(wf[near]).searchsorted(need))
+        if hit < len(near):
+            return float(s[near[hit]])
+        if k >= n:
+            return None
+        k *= 8
 
 
 def _bisect_coordinate(ws: _CoordinateWorkspace, below: float, above: float,

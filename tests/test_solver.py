@@ -2,17 +2,21 @@
 the candidate-node coordinate energy, randomized solver invariants, and the
 dyadic refinement driver."""
 
+import copy
+import hashlib
 import json
 import math
 import re
+import statistics
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import negrefractor as nr
@@ -1192,7 +1196,9 @@ def _solved_workspace(kappa):
     rule = cfg.rule()
     sol = solve_discrete(cfg, rule)
     H = refractor.sheet_radii(sol.state, rule.nodes)
-    ws = solver._CoordinateWorkspace(cfg, rule, H, rule.weights * cfg.density.values_on(rule))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_CULL_MIN", 0)  # tiles on this level-6 rule too
+        ws = solver._CoordinateWorkspace(cfg, rule, H, rule.weights * cfg.density.values_on(rule))
     lo, hi = solver._search_ranges(cfg, rule)
     return cfg, ws, list(zip(lo.tolist(), hi.tolist()))
 
@@ -1201,6 +1207,62 @@ def _begin(kappa, j):
     cfg, ws, ranges = _solved_workspace(kappa)
     ws.begin(j)
     return cfg, ws, ranges[j]
+
+
+# The workspace as it was before visits culled tiles: `begin` computed every
+# node's switch value, and the candidates, the early decisions and the
+# prediction read all of them.  The culled workspace must reproduce it.
+
+def _all_node_switch(ws):
+    """Every node's switch value s(r*) at a begun workspace."""
+    sense = ws.sense
+    edge = ws.other * sense.tie
+    r = np.where(sense.reaches(ws.low, edge), ws.low / sense.tie, edge)
+    return ovals.parameter_from_dots(ws.regime, ws.kappa, ws.p2, r, ws.dots)
+
+
+def _all_node_candidates(ws, switch, b):
+    """The candidates at b, read off every node's switch value."""
+    return ws.sense.reaches(b + ws.slack, switch).nonzero()[0]
+
+
+def _all_node_at_least(ws, nodes, b, target, strict=False):
+    """`at_least` on the all-node candidates `nodes`, with the early
+    decision on their head and their count."""
+    ws._check_support(b)
+    n = len(nodes)
+    cut = 0
+    if n >= solver._EARLY_MIN:
+        last = ws.reach.searchsorted(2.0 * target)
+        cut = int(nodes.searchsorted(last, side="right"))
+    if 0 < cut < n:
+        head = ws._terms(b, nodes[:cut])
+        bound = float(head.sum()) * (1.0 - 4.0 * n * solver._EPS)
+        if bound > target or (bound == target and not strict):
+            return True
+        terms = np.concatenate((head, ws._terms(b, nodes[cut:])))
+    else:
+        terms = ws._terms(b, nodes)
+    g = float(terms.sum())
+    return g > target if strict else g >= target
+
+
+def _all_node_predict(ws, switch, b, g, target):
+    """`predict` over every node's switch value."""
+    up = (g < target) == ws.regime.max_envelope
+    side = (switch > b) if up else (switch < b)
+    s, wf = switch[side], ws.wf[side]
+    key = s if up else -s
+    need, n, k = abs(target - g), len(s), 16
+    while True:
+        near = np.argpartition(key, k - 1)[:k] if k < n else np.arange(n)
+        near = near[np.argsort(key[near])]
+        hit = int(np.cumsum(wf[near]).searchsorted(need))
+        if hit < len(near):
+            return float(s[near[hit]])
+        if k >= n:
+            return None
+        k *= 8
 
 
 @pytest.mark.parametrize("kappa", _REGIMES)
@@ -1258,7 +1320,8 @@ def test_candidate_energy_matches_at_switch_values(kappa, j, pick, ulps):
     # a node's switch value is where its ownership flips: the tightest spot
     # for the candidate superset
     cfg, ws, (lo, hi) = _begin(kappa, j)
-    inside = np.sort(ws.switch[(ws.switch >= lo) & (ws.switch <= hi)])
+    switch = _all_node_switch(ws)
+    inside = np.sort(switch[(switch >= lo) & (switch <= hi)])
     assert inside.size
     b = _ulp_step(float(inside[min(int(pick * inside.size), inside.size - 1)]), ulps)
     b = min(max(b, lo), hi)
@@ -1309,7 +1372,8 @@ def test_ownership_of_workspace_terms_is_the_field(kappa, j, pick, ulps):
     # is the sheet at b, over all nodes and over the candidates, at b on or
     # next to a switch value
     cfg, ws, (lo, hi) = _begin(kappa, j)
-    inside = np.sort(ws.switch[(ws.switch >= lo) & (ws.switch <= hi)])
+    switch = _all_node_switch(ws)
+    inside = np.sort(switch[(switch >= lo) & (switch <= hi)])
     b = _ulp_step(float(inside[min(int(pick * inside.size), inside.size - 1)]), ulps)
     b = min(max(b, lo), hi)
     H = ws.H.copy()
@@ -1758,6 +1822,283 @@ def test_workspace_support_check_matches_reference(kappa, j, rel, where, u):
                 probe(b)
         return
     _assert_probe_matches(ws, b, _targets_around(ref, cfg.targets.weights[j]))
+
+
+@_PROPERTY
+@given(kappa=st.sampled_from(_REGIMES), j=st.integers(1, 4),
+       where=st.sampled_from(["rim", "below", "above", "inside"]), u=st.floats(0.0, 2.0),
+       ulps=st.integers(-3, 3))
+def test_scalar_support_check_equals_the_array_path(kappa, j, where, u, ulps):
+    # a float b takes the scalar path and an array of b the array path, with
+    # the same booleans, at and around the support end of the least d, past
+    # the admissible ends and inside the search range
+    cfg, ws, (lo, hi) = _begin(kappa, j)
+    p = math.sqrt(ws.p2)
+    adm = nr.admissible_b(ws.P, kappa)
+    b = _ulp_step(float({
+        "rim": _support_upper_end(kappa, p, ws.d_min),
+        "below": adm.lo - u * p,
+        "above": adm.hi + u * p,
+        "inside": lo + 0.5 * u * (hi - lo),
+    }[where]), ulps)
+    grid = [b, _ulp_step(b, 1), _ulp_step(b, -1), lo, hi]
+    for x in grid:
+        got = ws.supported(x)
+        assert type(got) is bool and got == ws.supported(np.float64(x)) == ws.supported(np.array([x]))
+    assert ws.supported(np.array(grid)) == all(ws.supported(x) for x in grid)
+
+
+# ---------------------------------------------------------------------------
+# tile culling
+#
+# A visit computes switch values only on the tiles of `solver._TILE`
+# consecutive nodes whose bounds let a candidate through; the all-node
+# workspace above is the reference of every probe.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _tile_rule(dim, level):
+    axis = [0.0, 0.0, 1.0] if dim == 3 else [0.0, 1.0]
+    return nr.build_quadrature(nr.make_cap(axis, 30 * DEG, dim), level)
+
+
+def _tile_config(dim, level, kappa, m, seed):
+    """m targets near the cap axis at about unit distance, in 2-D or 3-D,
+    with `solvable_config`'s b1, tau and r0 for the regime."""
+    rng = np.random.default_rng(seed)
+    ang, az = rng.uniform(0.0, 5 * DEG, m), rng.uniform(-np.pi, np.pi, m)
+    rad = rng.uniform(0.97, 1.03, m)
+    if dim == 3:
+        pts = rad[:, None] * np.stack([np.sin(ang) * np.cos(az), np.sin(ang) * np.sin(az), np.cos(ang)], 1)
+    else:
+        pts = rad[:, None] * np.stack([np.sin(ang) * np.sign(az), np.cos(ang)], 1)
+    if kappa < -1.0:
+        tau, r0, b1 = 1.2, 0.08, kappa * rad[0] + 0.004
+    elif kappa == -1.0:
+        tau, r0, b1 = 0.3, 0.3, -0.9 * rad[0]
+    else:
+        tau, r0 = 0.3, 0.17
+        b1 = kappa * rad[0] + 0.8 * r0 * (1.0 + kappa)
+    return nr.ProblemConfig(
+        domain=_tile_rule(dim, level).domain, density=nr.EmissionDensity.uniform(1.0),
+        medium=nr.MediumPair(kappa, 1.0, 0.5), margin=nr.AdmissibilityMargin(0.4),
+        targets=nr.TargetSpec(pts, np.full(m, 0.1)), b1=b1, tau=tau, r0=r0,
+        quadrature_level=level,
+    )
+
+
+def _culled_candidates(ws, b, culled=solver._CoordinateWorkspace):
+    """The culled workspace's candidates at b, taken on a plain copy so that
+    the visit's own evaluated tiles and records stay as they were."""
+    plain = copy.copy(ws)
+    plain.__class__ = culled
+    return plain._nodes(b)
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(derandomize=True, deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(case=st.sampled_from(["strong", "mild", "critical"]).flatmap(
+           lambda regime: st.tuples(st.just(regime), _KAPPAS[regime])),
+       m=st.integers(2, 5), seed=st.integers(0, 2**16), data=st.data())
+def test_tile_bounds_never_skip_a_candidate(dim, level, case, m, seed, data):
+    # sheets parked at the floor of their range, at its cap or inside it; b
+    # at the ends of the visited sheet's range, inside it and ulps around
+    # its switch values: no skipped tile holds a candidate of the all-node
+    # switch, and the culled candidates are the all-node ones
+    kappa = case[1]
+    cfg = _tile_config(dim, level, kappa, m, seed)
+    rule = _tile_rule(dim, level)
+    lo, hi = solver._search_ranges(cfg, rule)
+    assume(bool(np.all(lo[1:] < hi[1:])))
+    picks = data.draw(st.lists(st.sampled_from(["floor", "cap", "inside"]), min_size=m, max_size=m))
+    u = data.draw(st.floats(0.0, 1.0))
+    b = np.array([cfg.b1] + [{"floor": lo[k], "cap": hi[k], "inside": lo[k] + u * (hi[k] - lo[k])}[picks[k]]
+                             for k in range(1, m)])
+    try:
+        H = refractor.sheet_radii(nr.RefractorState(cfg.medium, cfg.targets, b), rule.nodes)
+    except refractor.ConfigurationError:
+        assume(False)
+    j = data.draw(st.integers(1, m - 1))
+    if data.draw(st.booleans()):
+        # the other rows anywhere from far inside to far past sheet j's rim,
+        # varying within tiles: the bounds hold for any envelope
+        rng = np.random.default_rng(seed)
+        wide = np.exp(rng.uniform(-7.0, 7.0, (m, 1)) + rng.normal(0.0, 0.5, H.shape))
+        H = np.where(np.arange(m)[:, None] == j, H, wide)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_CULL_MIN", 0)  # tiles on every rule, not only the large ones
+        ws = solver._CoordinateWorkspace(cfg, rule, H, rule.weights * cfg.density.values_on(rule))
+    ws.begin(j)
+    assert ws.width == min(rule.count, solver._TILE)
+    switch = _all_node_switch(ws)
+    inside = np.sort(switch[(switch >= lo[j]) & (switch <= hi[j])])
+    probes = [lo[j], hi[j], lo[j] + u * (hi[j] - lo[j]), b[j]]
+    for pick, ulps in data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(-3, 3)),
+                                         max_size=4 if inside.size else 0)):
+        probes.append(_ulp_step(float(inside[min(int(pick * inside.size), inside.size - 1)]), ulps))
+    for probe in map(float, probes):
+        if not ws.supported(probe):
+            continue
+        cands = _all_node_candidates(ws, switch, probe)
+        live = ws._live(ws.sense.sign * probe + ws.margin)
+        assert np.isin(cands, live).all(), (probe, np.setdiff1d(cands, live)[:5])
+        got = _culled_candidates(ws, probe)
+        assert got.dtype == cands.dtype and np.array_equal(got, cands), probe
+
+
+class _AllNodeWorkspace(solver._CoordinateWorkspace):
+    """The all-node workspace, for whole solves without a pinned digest."""
+
+    def begin(self, j):
+        super().begin(j)
+        self.all_switch = _all_node_switch(self)
+
+    def _nodes(self, b):
+        return _all_node_candidates(self, self.all_switch, b)
+
+    def at_least(self, b, target, strict=False):
+        return _all_node_at_least(self, self._nodes(b), b, target, strict)
+
+    def predict(self, b, g, target):
+        return _all_node_predict(self, self.all_switch, b, g, target)
+
+
+class _CheckedWorkspace(solver._CoordinateWorkspace):
+    """The culled workspace, checking every probe against the all-node
+    reference at the same state: each candidate array, `at_least` answer,
+    start energy and prediction.  `evaluated` collects (m, N, the nodes
+    whose switch values the visit computed) per visit."""
+
+    evaluated = []
+
+    def begin(self, j):
+        super().begin(j)
+        self.all_switch = _all_node_switch(self)
+        self.evaluated.append([self.H.shape[0], self.rule.count, 0])
+
+    def _cover(self, x):
+        reached = self.reached
+        super()._cover(x)
+        if self.reached != reached:
+            self.evaluated[-1][2] += self.idx.size
+
+    def _candidates(self, b):
+        ref = _all_node_candidates(self, self.all_switch, b)
+        got = _culled_candidates(self, b)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), (self.j, b)
+        return ref
+
+    def energy(self, b):
+        got = super().energy(b)
+        assert got.hex() == float(self._terms(b, self._candidates(b)).sum()).hex(), (self.j, b)
+        return got
+
+    def at_least(self, b, target, strict=False):
+        got = super().at_least(b, target, strict)
+        assert got == _all_node_at_least(self, self._candidates(b), b, target, strict), (self.j, b)
+        return got
+
+    def predict(self, b, g, target):
+        got = super().predict(b, g, target)
+        ref = _all_node_predict(self, self.all_switch, b, g, target)
+        assert (got, ref) == (None, None) or got.hex() == ref.hex(), (self.j, b, g, target)
+        return got
+
+
+_DATA = Path(__file__).parent / "data"
+
+
+def _pinned(name):
+    from test_acceptance import DIGESTS
+    return json.loads(DIGESTS.read_text())[name]
+
+
+def _digest(report):
+    return hashlib.sha256(cli.report_bytes(report.to_dict())).hexdigest()
+
+
+def _golden_solve(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", str(_DATA / "m2_symmetric.json"), "--out", str(out)]) == 0
+    return [cli.report_bytes(json.loads(out.read_text())["report"])]
+
+
+def _stiff_solve(tmp_path):
+    return [cli.report_bytes(solve_discrete(solvable_config(-1.5, 10, seed=1027, level=5)).to_dict())]
+
+
+def _criterion_5(kappa):
+    return lambda tmp_path: [_digest(solve_discrete(solvable_config(kappa, m, seed=1000 + m, level=8)))
+                             for m in (2, 5, 10)]
+
+
+def _radon(tmp_path):
+    from test_acceptance import refine_case
+    return [_digest(refine_case()[1])]
+
+
+_GOLDEN = cli.report_bytes(json.loads((_DATA / "m2_symmetric_report.json").read_text())["report"])
+
+
+@pytest.mark.parametrize("run, expected", [
+    (_golden_solve, lambda tmp_path: [_GOLDEN]),
+    (_stiff_solve, None),
+    *[(_criterion_5(kappa), lambda tmp_path, kappa=kappa: [
+        _pinned(f"criterion_5 kappa={kappa} m={m}") for m in (2, 5, 10)]) for kappa in _REGIMES],
+    (_radon, lambda tmp_path: [_pinned("criterion_9")]),
+], ids=["golden", "stiff", "criterion-5-strong", "criterion-5-mild", "criterion-5-critical", "radon"])
+def test_tile_culled_visits_equal_the_all_node_reference(monkeypatch, tmp_path, run, expected):
+    # every probe of every visit against the all-node reference, and the
+    # report bytes (every bisection_evals list with them) against the
+    # pinned digests, or for the stiff case against all-node visits
+    if expected is None:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_CoordinateWorkspace", _AllNodeWorkspace)
+            want = run(tmp_path)
+    else:
+        want = expected(tmp_path)
+    monkeypatch.setattr(_CheckedWorkspace, "evaluated", [])
+    monkeypatch.setattr(solver, "_CoordinateWorkspace", _CheckedWorkspace)
+    assert run(tmp_path) == want
+    visits = _CheckedWorkspace.evaluated
+    assert visits
+    if run is _radon:
+        # the culling is real: on the 60-atom level-7 stage the median
+        # visit computes switch values on few nodes
+        stage = [count for m, n, count in visits if (m, n) == (60, 32768)]
+        assert len(stage) > 1000 and statistics.median(stage) <= 0.15 * 32768, statistics.median(stage)
+
+
+# the traced peak of one visit at (60, 131072) that the all-node workspace
+# took, where `begin` computed every node's switch value
+_ALL_NODE_VISIT_PEAK = 7_611_210  # bytes; Python 3.11.7, numpy 2.4.6
+
+
+def test_tile_culled_visit_memory_stays_within_the_all_node_peak():
+    # a visit after the sweep's first, which keeps the envelopes of the
+    # later rows, as `_sweep_stage` makes it from the parked state: begin,
+    # start energy, predicted bisection and the new row of H
+    cfg = _atoms_config(8)
+    rule = cfg.rule()
+    assert (cfg.targets.count, rule.count) == (60, 131072)
+    state = init_state(cfg, rule)
+    ws = solver._CoordinateWorkspace(cfg, rule, refractor.sheet_radii(state, rule.nodes),
+                                     rule.weights * cfg.density.values_on(rule))
+    lo, hi = solver._search_ranges(cfg, rule)
+    ws.begin(1)
+    b, p = float(state.b[2]), float(cfg.targets.norms[2])
+    tracemalloc.start()
+    try:
+        ws.begin(2)
+        bj, evals, _ = solver._bisect_coordinate(ws, float(lo[2]), float(hi[2]), float(cfg.targets.weights[2]),
+                                                 cfg.tolerances.b_tol * p, False, (b, ws.energy(b)))
+        ws.radii_row(bj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert evals > 30 and peak <= _ALL_NODE_VISIT_PEAK, peak
 
 
 # ---------------------------------------------------------------------------
