@@ -51,6 +51,164 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Decimal scales k of the power table (every k = 16 - E of the fast range
+# 1e-200 <= |x| <= 1e200, with room), bytes of one cell of `_g17`, and
+# Veltkamp's constant, which splits a double into two 26-bit halves.
+_K_MIN, _K_MAX = -250, 280
+_G17_WIDTH = 48
+_SPLIT = 134217729.0
+
+
+def _g17_tables():
+    """The tables of `_g17`, built exactly from Python ints (under 100 KB).
+
+    Per decimal scale k: 10^k = hi + lo as a double-double (hi = fl(10^k)
+    split as hh + hl, lo = fl(10^k - hi)), and for E = 16 - k the cell's
+    head word (sign, the "0." prefix of -4 <= E < 0, a 0xFF point slot after
+    the first digit), its exponent word ("e+XX" outside -4 <= E < 17) and its
+    form (0: prefix, 1 + E: fixed with E + 1 integer digits, 18: exponent).
+    Per (form, significant digits): the AND pattern that keeps the head, the
+    digits shown and "." in the one point slot shown.  Per 4-digit group:
+    its characters and its count of trailing zeros."""
+    hh, hl, lo, head, expo, form = [], [], [], [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            hi = float(10**k)
+            lo.append(float(10**k - int(hi)))
+        else:
+            hi = 1 / 10**-k  # int true division rounds correctly
+            num, den = hi.as_integer_ratio()
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+        c = _SPLIT * hi
+        hh.append(c - (c - hi))
+        hl.append(hi - hh[-1])
+        e = 16 - k
+        prefix = ("0." + "0" * (-e - 1) if -4 <= e < 0 else "").encode().ljust(5, b"\0")
+        head += [b"\0" + prefix + b"\0\xff", b"-" + prefix + b"\0\xff"]
+        expo.append(b"" if -4 <= e < 17 else b"e%+03d" % e)
+        form.append(0 if -4 <= e < 0 else 1 + e if 0 <= e < 17 else 18)
+    pattern = np.zeros((19, 17, _G17_WIDTH), np.uint8)
+    pattern[:, :, :7] = pattern[:, :, 40:] = 0xFF
+    for f in range(19):
+        point = 17 if f == 0 else 0 if f == 18 else f - 1
+        for nd in range(1, 18):
+            keep = max(nd, f) if f < 18 else nd
+            pattern[f, nd - 1, 8:6 + 2 * keep:2] = 0xFF
+            if keep > point + 1:
+                pattern[f, nd - 1, 7 + 2 * point] = ord(".")
+    group = np.arange(10000, dtype=np.int16)[:, None]
+    scale = np.array([1000, 100, 10, 1], np.int16)
+    chars = (group // scale % 10 + ord("0")).astype(np.uint8)
+    return (
+        np.array([hh, hl, lo]),
+        np.frombuffer(b"".join(head), np.uint64),
+        np.array(expo, "S8").view(np.uint64),
+        np.array(form, np.intp) * 17,
+        pattern.reshape(19 * 17, _G17_WIDTH).view(np.uint64),
+        chars.view(np.uint32).ravel(),
+        (group % (10 * scale) == 0).sum(axis=1, dtype=np.uint8),
+    )
+
+
+# Built at import, before any trace array exists, so that these long-lived
+# arrays never sit above a trace's freed memory.
+_POWER, _HEAD, _EXPO, _FORM, _PATTERN, _GROUPS, _ZEROS = _g17_tables()
+_CELL = np.dtype([("head", "<u8"), ("digits", "V32"), ("expo", "<u8")])
+_FIXED = np.array([b"0", b"-0", b"nan", b"nan"], f"S{_G17_WIDTH}").view(np.uint8).reshape(4, -1)
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """`format(x, ".17g")` of every float64 x in `values`, as an (n, 48)
+    uint8 template: each row holds the text in order, NUL bytes anywhere in
+    it (drop them with `bytes.translate(None, b"\\0")`), and a NUL last byte.
+
+    Estimate.  `np.log10` only guesses the decimal exponent E of |x|; its
+    last bits vary with the SIMD dispatch, and nothing below relies on them.
+    With k = 16 - E and 10^k = hi + lo from the table, y = |x| 10^k = p + t
+    with p = fl(|x| hi) and t = (|x| hi - p) + |x| lo, the first term exact
+    by Dekker's product on Veltkamp halves.  Near y ~ 1e16..1e17, |t| <= 8 +
+    11.2, and t is within 1e-14 of y - p: |x| lo rounds by 2^-53 |t|,
+    10^k - hi - lo is below 2^-105 10^k, and the sum rounds once.
+
+    Certificate.  A cell takes the fast path only if 1e-200 <= |x| <= 1e200,
+    p + floor(t) >= 10^16 (so p > 2^53 is an integer), |frac(t) - 1/2| >
+    1e-6, and D = p + floor(t) + (frac(t) > 1/2) < 10^17.  y is then no
+    nearer than 1e-6 - 1e-14 to a tie, so D is y correctly rounded, and
+    10^16 - 1e-14 <= y < 10^17 - 1/2, so D has 17 digits and E is the
+    exponent `%.17g` prints: for y just below 10^16, the rounding at E - 1
+    is 10^16 too.  So the text never depends on the estimate.  Every other
+    x (0, NaN, ties and near-ties, a wrong estimate, |x| outside the range)
+    is a fixed string or `format` itself.
+
+    Layout.  A cell is a head word (sign, "0." plus zeros for -4 <= E < 0),
+    the 17 digits each followed by a point slot, and an exponent word.  One
+    AND with the pattern of its (form, significant digits) drops the
+    trailing zeros past the integer digits and every point slot but the one
+    shown."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    n = v.size
+    neg = np.signbit(v)
+    a = np.abs(v)
+    fast = (a >= 1e-200) & (a <= 1e200)
+    a[~fast] = 1.0
+    idx = np.floor(np.log10(a))
+    idx = (16 - _K_MIN - idx).astype(np.intp)
+    hh, hl, lo = (_POWER[i].take(idx) for i in range(3))
+    p = a * (hh + hl)
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    t = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + a * lo
+    whole = np.floor(t)
+    t -= whole
+    D = p.astype(np.int64)
+    D += whole.astype(np.int64)
+    ok = fast & (D >= 10**16) & (np.abs(t - 0.5) > 1e-6)
+    D += t > 0.5
+    ok &= D < 10**17
+    # D = d0 10^16 + the digits of x[:, 0] 10^8 + x[:, 1], in 4-digit groups
+    high = D // 10**8
+    d0 = high // 10**8
+    x = np.empty((n, 2), np.intp)
+    x[:, 0] = high - d0 * 10**8
+    x[:, 1] = D - high * 10**8
+    h = x // 10**4
+    group = np.empty((n, 2, 2), np.intp)
+    group[..., 0] = h
+    group[..., 1] = x - h * 10**4
+    group = group.reshape(n, 4)
+    # trailing zeros of the 16 digits: the last group's, plus those of the
+    # group before it where the last group is all zeros, and so on
+    zeros = _ZEROS.take(group)
+    trailing = zeros[:, 0].copy()
+    for j in (1, 2, 3):
+        trailing *= zeros[:, j] == 4
+        trailing += zeros[:, j]
+    row = _FORM.take(idx)  # the pattern of (form, 17 - trailing digits)
+    row += 16
+    row -= trailing
+    cells = np.empty(n, _CELL)
+    cells["head"] = _HEAD.take(2 * idx + neg)
+    digits = _GROUPS.take(group).view(np.uint8).astype(np.uint16)
+    digits |= 0xFF00
+    cells["digits"] = digits.view("V32").ravel()
+    cells["expo"] = _EXPO.take(idx)
+    text = cells.view(np.uint8).reshape(n, _G17_WIDTH)
+    text[:, 6] = d0
+    text[:, 6] += ord("0")
+    cells.view(np.uint64).reshape(n, 6)[...] &= np.take(_PATTERN, row, axis=0)
+    if not ok.all():
+        rest = np.flatnonzero(~ok)
+        special = v[rest]
+        fixed = (special == 0) | np.isnan(special)
+        text[rest[fixed]] = _FIXED[2 * np.isnan(special[fixed]) + neg[rest[fixed]]]
+        rest = rest[~fixed]
+        if rest.size:
+            slow = [format(y, ".17g") for y in v[rest].tolist()]
+            text[rest] = np.array(slow, f"S{_G17_WIDTH}").view(np.uint8).reshape(-1, _G17_WIDTH)
+    return text
+
+
 def canonical_json(obj) -> str:
     """JSON text with floats at 17 significant digits and stable layout."""
     if isinstance(obj, dict):
@@ -259,10 +417,10 @@ def _check_output(path: str | None, fmt: str | None = None, dim: int | None = No
     raise SchemaError(f"cannot write output {path}: {reason}")
 
 
-def _open_output(path: str):
+def _open_output(path: str, mode: str = "w"):
     """Open an output file; a path that cannot be written is a usage error."""
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise SchemaError(f"cannot write output {path}: {exc.strerror}") from exc
 
@@ -293,19 +451,39 @@ def export_surface(rho: np.ndarray, rule, path: str, fmt: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# Rows per write of the trace CSV: one %-format call formats a whole block.
-_CSV_BLOCK = 4096
+# Rows per block of the trace CSV: one `_g17` call formats a whole block.
+# At 512 rows its temporaries stay in a 2-core VM's L2 cache; 4096 rows
+# took 1.7x as long there, and 8x the memory.
+_CSV_BLOCK = 512
+_SKIPPED = np.array([b"false\n", b"true\n"], "S8").view(np.uint8).reshape(2, -1)
+
+
+def _trace_blocks(traced, rule):
+    """(values, tie) per block of `_CSV_BLOCK` rows: the float columns of
+    the trace CSV, the target index among them, with NaN in the focus
+    error, r and t of tie rows."""
+    dim = rule.domain.dim
+    for lo in range(0, rule.count, _CSV_BLOCK):
+        blk = slice(lo, lo + _CSV_BLOCK)
+        tie = traced.tie[blk]
+        values = np.column_stack([
+            rule.nodes[blk], traced.z[blk], traced.m[blk], traced.assigned[blk],
+            traced.focus_error[blk], traced.r[blk], traced.t[blk],
+        ])
+        values[tie, 3 * dim + 1:] = np.nan
+        yield values, tie
 
 
 def write_trace_csv(traced, rule, path: str) -> None:
     """Write one CSV row per node of `traced = trace_field(state, rule, field)`.
 
-    Floats are written as `format(x, ".17g")`; x, z and m are "nan" where
-    NaN, and the focus error (to the assigned target), r and t are "nan" on
-    tie nodes.  Any other non-finite value raises ValueError, like
-    `_fmt_float`, before anything is written.
+    Floats are written as `format(x, ".17g")` (by `_g17`, a block of rows at
+    a time); x, z and m are "nan" where NaN, and the focus error (to the
+    assigned target), r and t are "nan" on tie nodes.  Any other non-finite
+    value raises ValueError, like `_fmt_float`, before anything is written.
+    The target index, an integer below 2^53, goes through `_g17` too: its
+    `%.17g` text is its `%d` text.
     """
-    tie = traced.tie
     dim = rule.domain.dim
     cols = (
         [f"x{i}" for i in range(dim)]
@@ -313,27 +491,22 @@ def write_trace_csv(traced, rule, path: str) -> None:
         + [f"m{i}" for i in range(dim)]
         + ["active", "focus_error", "r", "t", "skipped"]
     )
-    ray = np.column_stack([traced.focus_error, traced.r, traced.t])
-    ray[tie] = np.nan
-    geo = np.hstack([rule.nodes, traced.z, traced.m])
-    ray_ok = ray[~tie]
-    bad = np.concatenate([geo[np.isinf(geo)], ray_ok[~np.isfinite(ray_ok)]])
-    if bad.size:
-        raise ValueError(f"non-finite number in report: {bad[0]}")
-    n_geo = geo.shape[1]
-    row_fmt = ",".join(["%.17g"] * n_geo + ["%d"] + ["%.17g"] * 3 + ["%s"]) + "\n"
-    skipped = np.where(tie, "true", "false")
-    with _open_output(path) as fh:
-        fh.write(",".join(cols) + "\n")
-        for lo in range(0, rule.count, _CSV_BLOCK):
-            blk = slice(lo, lo + _CSV_BLOCK)
-            block = geo[blk]
-            cells = np.empty((len(block), n_geo + 5), dtype=object)
-            cells[:, :n_geo] = block
-            cells[:, n_geo] = traced.assigned[blk]
-            cells[:, n_geo + 1:n_geo + 4] = ray[blk]
-            cells[:, -1] = skipped[blk]
-            fh.write(row_fmt * len(cells) % tuple(cells.ravel().tolist()))
+    for values, tie in _trace_blocks(traced, rule):
+        ray = values[~tie, 3 * dim + 1:]
+        bad = np.concatenate([values[np.isinf(values)], ray[np.isnan(ray)]])
+        if bad.size:
+            raise ValueError(f"non-finite number in report: {bad[0]}")
+    with _open_output(path, "wb") as fh:
+        fh.write(",".join(cols).encode() + b"\n")
+        for values, tie in _trace_blocks(traced, rule):
+            rows, n_cols = values.shape
+            width = n_cols * _G17_WIDTH
+            buf = bytearray(rows * (width + _SKIPPED.shape[1]))
+            line = np.frombuffer(buf, np.uint8).reshape(rows, -1)
+            line[:, :width] = _g17(values).reshape(rows, width)
+            line[:, _G17_WIDTH - 1:width:_G17_WIDTH] = ord(",")
+            line[:, width:] = _SKIPPED[tie.view(np.uint8)]
+            fh.write(buf.translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,17 @@ def test_reports_do_not_depend_on_the_simd_dispatch(tmp_path):
     out = tmp_path / "report.json"
     _run_cli_subprocess(["solve", str(DATA / "m2_symmetric.json"), "--out", str(out)], extra)
     assert cli.report_bytes(json.loads(out.read_text())["report"]) == _golden_bytes()
+    # the trace CSV's kernel reads np.log10, whose bits follow the dispatch
+    rays = {}
+    for name, env in (("baseline", extra), ("default", None)):
+        rays[name] = tmp_path / f"rays-{name}.csv"
+        argv = ["trace", str(DATA / "m2_symmetric.json"), "--state", str(out),
+                "--out-csv", str(rays[name])]
+        if env is None:
+            assert cli.main(argv) == cli.EXIT_OK
+        else:
+            _run_cli_subprocess(argv, env)
+    assert rays["baseline"].read_bytes() == rays["default"].read_bytes()
 
 
 def test_versions_sit_outside_the_hashed_report(tmp_path):
@@ -476,11 +487,12 @@ def _reference_trace_csv(field, rule, path):
 
 
 def _csv_case(name, tmp_path):
-    """(state, rule) of a 3-D solve (2048 nodes), a duplicate-sheet state
-    with some or only tie nodes (512 nodes) or a 2-D solve (4096 nodes)."""
+    """(state, rule) of a 3-D solve (2048 nodes; its z and m get every
+    layout of `%.17g` in "layouts"), a duplicate-sheet state with some or
+    only tie nodes (512 nodes) or a 2-D solve (4096 nodes)."""
     if name.endswith("_ties"):
         return duplicate_sheet_state(third_sheet=name == "mixed_ties")
-    if name == "solve_3d":
+    if name in ("solve_3d", "layouts"):
         cfg = symmetric_pair_config(-1.5, level=5)
     else:
         cfg, _ = cli.load_config(_write(tmp_path, _two_dimensional_doc(6)))
@@ -488,10 +500,27 @@ def _csv_case(name, tmp_path):
     return solver.solve_discrete(cfg, rule).state, rule
 
 
-@pytest.mark.parametrize("name", ["solve_3d", "mixed_ties", "all_ties", "solve_2d"])
+def _every_layout(field):
+    """`field` with z and m values of every `%.17g` layout: exponents -300
+    to 300 (fixed from -4 to 16), 1 to 17 significant digits, powers of ten,
+    both signs, zeros and a subnormal."""
+    mantissas = [1.0, 1.5, 1.2345678901234567, 9.9999999999999982, 5.5e-16 + 1]
+    values = [m * 10.0**e for e in range(-300, 301) for m in mantissas]
+    values += [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999998e16, 12345678.9, 0.0, -0.0, 5e-324]
+    values = np.array(values + [-v for v in values])
+    cells = np.concatenate([field.z, field.m], axis=1)
+    assert values.size <= cells.size
+    cells.flat[:values.size] = values
+    dim = field.z.shape[1]
+    return field._replace(z=cells[:, :dim].copy(), m=cells[:, dim:].copy())
+
+
+@pytest.mark.parametrize("name", ["solve_3d", "mixed_ties", "all_ties", "solve_2d", "layouts"])
 def test_trace_csv_matches_per_row_reference(tmp_path, monkeypatch, name):
     state, rule = _csv_case(name, tmp_path)
     field = raytrace.trace_field(state, rule, refractor.evaluate_field(state, rule))
+    if name == "layouts":
+        field = _every_layout(field)
     ref = tmp_path / "ref.csv"
     _reference_trace_csv(field, rule, ref)
     text = ref.read_bytes()
@@ -537,6 +566,49 @@ def test_trace_csv_refuses_non_finite_values(tmp_path):
         text = Path(out).read_bytes()
         _reference_trace_csv(fine, rule, out)
         assert Path(out).read_bytes() == text
+
+
+def _g17_cases():
+    """Derandomized doubles for `cli._g17`: random bit patterns of every
+    exponent, scaled normals, powers of ten and their neighbours across the
+    fast range and past it, exact 18-digit ties, and the special values."""
+    rng = np.random.default_rng(17)
+    exponent = np.repeat(np.arange(2047, dtype=np.uint64), 16)
+    bits = (exponent << np.uint64(52)) | rng.integers(0, 2**52, exponent.size, dtype=np.uint64)
+    bits[::2] |= np.uint64(1) << np.uint64(63)
+    normals = rng.standard_normal(20000) * 10.0 ** rng.uniform(-40, 40, 20000)
+    tens = np.array([10.0**k for k in range(-323, 309)] + [float(f"1e{k}") for k in range(-323, 309)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+    # odd N / 2^s with N 5^s of 18 digits: the decimal expansion ends in a 5
+    # at the 18th digit, a tie of the 17-digit rounding
+    ties = []
+    for s in range(2, 24):
+        lo, hi = -(-10**17 // 5**s), min(10**18 // 5**s, 2**53)
+        ties += [(int(N) | 1) / 2**s for N in rng.integers(lo, hi, 200)]
+    ties = np.array(ties)
+    ties = np.concatenate([ties, -ties] + [ties * 2.0**k for k in (-60, -7, 7, 60)])
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                        2.2250738585072009e-308, 2.2250738585072014e-308,
+                        1.7976931348623157e308, -1.7976931348623157e308, 1e-200, 1e200])
+    subnormal = rng.integers(1, 2**52, 200, dtype=np.uint64).view(np.float64)
+    return np.concatenate([bits.view(np.float64), normals, tens, ties, special, subnormal])
+
+
+def test_g17_kernel_matches_format(tmp_path, monkeypatch):
+    values = _g17_cases()
+    text = cli._g17(values)
+    assert text.shape == (values.size, cli._G17_WIDTH) and not text[:, -1].any()
+    got = [row.tobytes().translate(None, b"\0") for row in text]
+    want = [format(x, ".17g").encode() for x in values.tolist()]
+    assert got == want
+    # the fast path decides nearly every cell of a solve's trace
+    state, rule = _csv_case("solve_3d", tmp_path)
+    traced = raytrace.trace_field(state, rule, refractor.evaluate_field(state, rule))
+    slow = []
+    monkeypatch.setattr(cli, "format", lambda x, spec: slow.append(x) or format(x, spec),
+                        raising=False)
+    cli.write_trace_csv(traced, rule, str(tmp_path / "rays.csv"))
+    assert len(slow) < 1e-3 * rule.count * (3 * rule.domain.dim + 3), len(slow)
 
 
 @pytest.fixture(scope="module")

@@ -192,6 +192,33 @@ def test_trace_memory_does_not_scale_with_nodes_times_targets():
     assert peak < 45 * 2**20, peak
 
 
+def _trace_csv_peak(level, path):
+    """tracemalloc peak of writing the trace CSV of the parked 60-atom state."""
+    cfg = _atoms_config(level)
+    rule = cfg.rule()
+    state = init_state(cfg, rule)
+    traced = trace_field(state, rule, refractor.evaluate_field(state, rule))
+    tracemalloc.start()
+    try:
+        cli.write_trace_csv(traced, rule, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes().count(b"\n") == 1 + rule.count
+    return peak
+
+
+def test_trace_csv_memory_does_not_grow_with_nodes(tmp_path):
+    # the writer holds one block of rows at a time: the same 2.5 MiB at
+    # 32,768 and at 131,072 nodes.  The object-array writer it replaced
+    # peaked at 8.2 and 21.4 MiB here, with (N, 9) and (N, 3) copies of the
+    # columns and an (N,) array of "true"/"false"
+    small = _trace_csv_peak(7, tmp_path / "small.csv")
+    large = _trace_csv_peak(8, tmp_path / "large.csv")
+    assert large < 4 * 2**20, large
+    assert large < small + 2**20, (small, large)
+
+
 # ---------------------------------------------------------------------------
 # search ranges
 # ---------------------------------------------------------------------------
