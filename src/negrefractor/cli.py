@@ -52,36 +52,31 @@ def _fmt_float(x: float) -> str:
 
 
 # Decimal scales k of the power table (every k = 16 - E of the fast range
-# 1e-200 <= |x| <= 1e200, with room), bytes of one cell of `_g17`, and
-# Veltkamp's constant, which splits a double into two 26-bit halves.
+# 1e-200 <= |x| <= 1e200, with room), and bytes of one cell of `_g17`.
 _K_MIN, _K_MAX = -250, 280
 _G17_WIDTH = 48
-_SPLIT = 134217729.0
 
 
 def _g17_tables():
     """The tables of `_g17`, built exactly from Python ints (under 100 KB).
 
-    Per decimal scale k: 10^k = hi + lo as a double-double (hi = fl(10^k)
-    split as hh + hl, lo = fl(10^k - hi)), and for E = 16 - k the cell's
-    head word (sign, the "0." prefix of -4 <= E < 0, a 0xFF point slot after
-    the first digit), its exponent word ("e+XX" outside -4 <= E < 17) and its
-    form (0: prefix, 1 + E: fixed with E + 1 integer digits, 18: exponent).
+    Per decimal scale k: 10^k = hi + lo as a double-double (hi = fl(10^k),
+    lo = fl(10^k - hi)), and for E = 16 - k the cell's head word (sign, the
+    "0." prefix of -4 <= E < 0, a 0xFF point slot after the first digit),
+    its exponent word ("e+XX" outside -4 <= E < 17) and its form (0:
+    prefix, 1 + E: fixed with E + 1 integer digits, 18: exponent).
     Per (form, significant digits): the AND pattern that keeps the head, the
     digits shown and "." in the one point slot shown.  Per 4-digit group:
     its characters and its count of trailing zeros."""
-    hh, hl, lo, head, expo, form = [], [], [], [], [], []
+    hi, lo, head, expo, form = [], [], [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
         if k >= 0:
-            hi = float(10**k)
-            lo.append(float(10**k - int(hi)))
+            hi.append(float(10**k))
+            lo.append(float(10**k - int(hi[-1])))
         else:
-            hi = 1 / 10**-k  # int true division rounds correctly
-            num, den = hi.as_integer_ratio()
+            hi.append(1 / 10**-k)  # int true division rounds correctly
+            num, den = hi[-1].as_integer_ratio()
             lo.append((den - num * 10**-k) / (den * 10**-k))
-        c = _SPLIT * hi
-        hh.append(c - (c - hi))
-        hl.append(hi - hh[-1])
         e = 16 - k
         prefix = ("0." + "0" * (-e - 1) if -4 <= e < 0 else "").encode().ljust(5, b"\0")
         head += [b"\0" + prefix + b"\0\xff", b"-" + prefix + b"\0\xff"]
@@ -100,7 +95,7 @@ def _g17_tables():
     scale = np.array([1000, 100, 10, 1], np.int16)
     chars = (group // scale % 10 + ord("0")).astype(np.uint8)
     return (
-        np.array([hh, hl, lo]),
+        np.array([hi, lo]),
         np.frombuffer(b"".join(head), np.uint64),
         np.array(expo, "S8").view(np.uint64),
         np.array(form, np.intp) * 17,
@@ -126,9 +121,10 @@ def _g17(values: np.ndarray) -> np.ndarray:
     last bits vary with the SIMD dispatch, and nothing below relies on them.
     With k = 16 - E and 10^k = hi + lo from the table, y = |x| 10^k = p + t
     with p = fl(|x| hi) and t = (|x| hi - p) + |x| lo, the first term exact
-    by Dekker's product on Veltkamp halves.  Near y ~ 1e16..1e17, |t| <= 8 +
-    11.2, and t is within 1e-14 of y - p: |x| lo rounds by 2^-53 |t|,
-    10^k - hi - lo is below 2^-105 10^k, and the sum rounds once.
+    by Dekker's product (`detmath.two_prod`; none of its terms under- or
+    overflows here).  Near y ~ 1e16..1e17, |t| <= 8 + 11.2, and t is within
+    1e-14 of y - p: |x| lo rounds by 2^-53 |t|, 10^k - hi - lo is below
+    2^-105 10^k, and the sum rounds once.
 
     Certificate.  A cell takes the fast path only if 1e-200 <= |x| <= 1e200,
     p + floor(t) >= 10^16 (so p > 2^53 is an integer), |frac(t) - 1/2| >
@@ -153,12 +149,9 @@ def _g17(values: np.ndarray) -> np.ndarray:
     a[~fast] = 1.0
     idx = np.floor(np.log10(a))
     idx = (16 - _K_MIN - idx).astype(np.intp)
-    hh, hl, lo = (_POWER[i].take(idx) for i in range(3))
-    p = a * (hh + hl)
-    c = a * _SPLIT
-    ah = c - (c - a)
-    al = a - ah
-    t = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + a * lo
+    hi, lo = _POWER.take(idx, axis=1)
+    p, t = detmath.two_prod(a, hi)
+    t += a * lo
     whole = np.floor(t)
     t -= whole
     D = p.astype(np.int64)

@@ -9,6 +9,7 @@ transcendental functions.  The report hash relies on that.
   gauss_legendre    Gauss-Legendre nodes and weights on [-1, 1], cached per n
   dot_rows, dot     per-component dot products (no BLAS)
   norm_rows, norm   Euclidean norms from the same sums
+  two_prod          Dekker's exact product a * b = p + e (no fused multiply-add)
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def cos_sin(x):
 _SPLIT = 134217729.0  # 2^27 + 1 (Dekker)
 
 
-def _two_prod(a, b):
+def two_prod(a, b):
     """a * b = p + e exactly (Dekker; no fused multiply-add needed)."""
     p = a * b
     t = _SPLIT * a
@@ -105,18 +106,18 @@ def _legendre_dd(n: int, x: np.ndarray):
     p1h, p1l = x.copy(), zero
     for k in range(1, n):
         # P_{k+1} = ((2k+1) x P_k - k P_{k-1}) / (k+1)
-        ah, al = _two_prod(p1h, x)
+        ah, al = two_prod(p1h, x)
         al = al + p1l * x
         ah, al = _two_sum(ah, al)
-        bh, bl = _two_prod(ah, float(2 * k + 1))
+        bh, bl = two_prod(ah, float(2 * k + 1))
         bl = bl + al * float(2 * k + 1)
-        ch, cl = _two_prod(p0h, float(k))
+        ch, cl = two_prod(p0h, float(k))
         cl = cl + p0l * float(k)
         sh, se = _two_sum(bh, -ch)
         sl = se + (bl - cl)
         sh, sl = _two_sum(sh, sl)
         qh = sh / float(k + 1)
-        ph, pe = _two_prod(qh, float(k + 1))
+        ph, pe = two_prod(qh, float(k + 1))
         ql = ((sh - ph) - pe + sl) / float(k + 1)
         p0h, p0l = p1h, p1l
         p1h, p1l = _two_sum(qh, ql)

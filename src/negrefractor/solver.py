@@ -40,9 +40,10 @@ from .refractor import (
     sheet_radii,
 )
 
-# Relative margins keeping bisection strictly inside open admissible ranges.
+# Relative margins keeping bisection strictly inside open admissible ranges
+# (_EDGE) and below the aperture cut (_CUT_MARGIN, `_search_ranges`).
 _EDGE = 1e-12
-_CRIT_CUT_MARGIN = 1e-9
+_CUT_MARGIN = 1e-9
 # Early bisection decisions: the fewest candidates worth splitting into a
 # head and a rest, and the float64 machine epsilon.
 _EARLY_MIN = 1024
@@ -348,14 +349,14 @@ def _search_ranges(config: ProblemConfig, rule: QuadratureRule) -> tuple[np.ndar
         lo = k * p + _EDGE * p
         # back off the aperture-coverage cap: at the cap itself the rim rays
         # refract at the critical cosine
-        hi = np.minimum(_strong_cut_cap(p, k, cos_min) - 1e-9 * p, p - _EDGE * p)
+        hi = np.minimum(_strong_cut_cap(p, k, cos_min) - _CUT_MARGIN * p, p - _EDGE * p)
     elif reg is Regime.MILD:
         floor = k * p + (1.0 + k) * (config.b1 - k * p[0]) / (1.0 - k)
         lo = np.maximum(k * p + _EDGE * p, floor)
-        hi = np.minimum((config.tau - k) * p, cos_min * p - 1e-9 * p)
+        hi = np.minimum((config.tau - k) * p, cos_min * p - _CUT_MARGIN * p)
     else:
-        lo = -p + _CRIT_CUT_MARGIN * p
-        hi = np.minimum(p - _EDGE * p, cos_min * p - _CRIT_CUT_MARGIN * p)
+        lo = -p + _CUT_MARGIN * p
+        hi = np.minimum(p - _EDGE * p, cos_min * p - _CUT_MARGIN * p)
     return lo, hi
 
 
@@ -365,7 +366,9 @@ def _search_ranges(config: ProblemConfig, rule: QuadratureRule) -> tuple[np.ndar
 
 def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> RefractorState:
     """Parameters that make every non-anchor sheet inactive, verified on the
-    quadrature (all non-anchor measures exactly zero).
+    quadrature (all non-anchor measures exactly zero).  That `measures` call
+    is the check that every sheet, anchor first, is evaluable on every node
+    (ConfigurationError names the first that is not); one target is [b1].
 
     A strong sheet parks at the floor of its admissible range, kappa|P| +
     _EDGE|P|, the floor of its search range (`_search_ranges`).  There it
@@ -377,21 +380,10 @@ def init_state(config: ProblemConfig, rule: QuadratureRule | None = None) -> Ref
     and a visit's result and count do not depend on its start.
     """
     rule = rule or config.rule()
-    med, tgt = config.medium, config.targets
-    k = med.kappa
-    m = tgt.count
-
-    anchor = ovals.OvalParams(tgt.points[0], config.b1, k)
-    _, ok = ovals.radii(k, anchor.focus, anchor.b, rule.nodes)
-    if not np.all(ok):
-        raise ConfigurationError("anchor sheet does not cover the aperture")
-    if m == 1:
-        return RefractorState(med, tgt, np.array([config.b1]))
-
-    state = RefractorState(med, tgt, _parked(config, rule))
+    state = RefractorState(config.medium, config.targets, _parked(config, rule))
     G = refractor.measures(state, rule, config.density)
     if np.any(G[1:] != 0.0):
-        hint = "; lower b1" if med.regime.lossless else ""
+        hint = "; lower b1" if config.medium.regime.lossless else ""
         raise InfeasibleGeometryError(
             f"initialization leaves non-anchor energy {G[1:]}{hint}"
         )
@@ -519,17 +511,17 @@ class _CoordinateWorkspace:
 
     The window check cannot fire on the search range, so neither the
     skipped terms nor the points a predicted visit skips would raise there.
-    The critical regime has none.  Strong: every b lies at least 1e-9 |P|
-    below the aperture cut cap (`_search_ranges`), which keeps the
-    discriminant >= kappa^2 (1e-9 |P|)^2 on every node, so the refraction
+    The critical regime has none.  Strong: every b lies at least _CUT_MARGIN
+    |P| = 1e-9 |P| below the aperture cut cap (`_search_ranges`), which keeps
+    the discriminant >= kappa^2 (1e-9 |P|)^2 on every node, so the refraction
     cosine exceeds 1/kappa by sqrt(disc) / (kappa^2 |z - P|) > 1e-10.  Mild:
     for any point z = h x, c - kappa = (d - b(h)) / |z - P| with
     b(h) = h + kappa |z - P| the parameter of the sheet through z, and every
-    b lies at least 1e-9 |P| below the least d; the computed radius moves
-    b(h) by a few ulp of the b scale only, so c - kappa > 1e-9 |P| / |z - P|
-    less that, > 1e-10.  Both margins are far beyond the check's 1e-12 slack
-    and the few-ulp rounding of the computed cosine.  Its upper end holds
-    because c <= 1 exactly (Cauchy-Schwarz) and the computed cosine is
+    b lies at least _CUT_MARGIN |P| below the least d; the computed radius
+    moves b(h) by a few ulp of the b scale only, so c - kappa > 1e-9 |P| /
+    |z - P| less that, > 1e-10.  Both margins are far beyond the check's
+    1e-12 slack and the few-ulp rounding of the computed cosine.  Its upper
+    end holds because c <= 1 exactly (Cauchy-Schwarz) and the computed cosine is
     within a few ulp of (|P| + h)^2 / |z - P|^2 (relative) of it, while
     |z| + kappa |z - P| = b with |z| >= |P| - |z - P| keeps every sheet
     point at |z - P| >= (|P| - b) / (1 - kappa) > (1 - cos_min) |P| / (1 -
@@ -1242,8 +1234,8 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
 
         # energy landing in each fixed test cell
         test_cells = _test_cells(anchor_cell, cells, n_side)
-        cell_energy = np.zeros(test_side * test_side)
-        np.add.at(cell_energy, test_cells, solve.measures)
+        cell_energy = np.bincount(test_cells, weights=solve.measures,
+                                  minlength=test_side * test_side)
 
         level_rows.append(
             {
@@ -1251,9 +1243,7 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
                 "atoms": int(len(masses)),
                 "status": solve.status,
                 "start": how,
-                "max_residual": float(np.max(np.abs(solve.residuals[1:])))
-                if len(masses) > 1
-                else 0.0,
+                "max_residual": float(np.max(np.abs(solve.residuals[1:]), initial=0.0)),
                 "anchor_surplus": solve.anchor_surplus,
                 "mass_total": float(np.sum(masses)),
                 "test_cell_energy": cell_energy.tolist(),

@@ -214,6 +214,30 @@ def test_gauss_legendre_weights_no_less_accurate_than_leggauss(n):
     assert math.fsum(weights) == pytest.approx(2.0, rel=1e-15)
 
 
+def test_two_prod_is_exact():
+    # the operands of cli._g17 (every power of ten hi of its table times |x|
+    # in [1e-200, 1e200], near 1e16/hi where that range allows) and of the
+    # Gauss-Legendre recurrence (P_k and x in [-1, 1], values times 2k+1, k)
+    from fractions import Fraction
+
+    from negrefractor import cli
+
+    rng = np.random.default_rng(20260)
+    his = cli._POWER[0]
+    k = np.arange(cli._K_MIN, cli._K_MAX + 1)
+    x = np.clip(rng.uniform(1.0, 10.0, (8, k.size)) * 10.0 ** (16 - k.astype(float)), 1e-200, 1e200)
+    a = [(x * rng.choice([-1.0, 1.0], x.shape)).ravel()]
+    b = [np.broadcast_to(his, x.shape).ravel()]
+    n = np.arange(1, 514, dtype=float)
+    a += [rng.uniform(-1.0, 1.0, 4096), rng.uniform(-1.0, 1.0, 4 * n.size) * np.repeat(n, 4)]
+    b += [rng.uniform(-1.0, 1.0, 4096), np.repeat(n, 4)]
+    a, b = np.concatenate(a), np.concatenate(b)
+    assert np.isin([1e-200, 1e200], np.abs(a)).all()
+    p, e = detmath.two_prod(a, b)
+    assert all(Fraction(u) * Fraction(v) == Fraction(s) + Fraction(t)
+               for u, v, s, t in zip(a.tolist(), b.tolist(), p.tolist(), e.tolist()))
+
+
 def _angles_in_use():
     deg = np.pi / 180.0
     half_angles = [30 * deg, np.deg2rad(30.0), np.pi / 3, np.pi / 2, np.pi / 6,

@@ -247,8 +247,8 @@ def _coordinate_range(config, rule, j, C1_est):
         lo = max(adm.lo + solver._EDGE * p, floor)
         hi = min((config.tau - k) * p, cos_min_j * p - 1e-9 * p)
     else:
-        lo = adm.lo + solver._CRIT_CUT_MARGIN * p
-        hi = min(adm.hi - solver._EDGE * p, cos_min_j * p - solver._CRIT_CUT_MARGIN * p)
+        lo = adm.lo + solver._CUT_MARGIN * p
+        hi = min(adm.hi - solver._EDGE * p, cos_min_j * p - solver._CUT_MARGIN * p)
     if not (lo < hi):
         raise solver.InfeasibleGeometryError(
             f"empty search range for target {j}: [{lo}, {hi}]"
@@ -414,6 +414,42 @@ def test_init_single_target_passthrough():
     )
     state = init_state(cfg)
     assert state.b.shape == (1,) and state.b[0] == cfg.b1
+
+
+@pytest.mark.parametrize("kappa", [-1.5, -0.5, -1.0])
+def test_init_one_target_is_b1_checked_by_one_measures_call(kappa, monkeypatch):
+    # one target takes the same path as many: [b1], evaluated once on the rule
+    cfg = symmetric_pair_config(kappa)
+    cfg = _replace(cfg, targets=nr.TargetSpec(cfg.targets.points[:1], cfg.targets.weights[:1]))
+    calls = []
+    measures = refractor.measures
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return measures(*args, **kwargs)
+
+    monkeypatch.setattr(refractor, "measures", counted)
+    state = init_state(cfg, cfg.rule())
+    assert state.b.tolist() == [cfg.b1] and len(calls) == 1
+
+
+@pytest.mark.parametrize("kappa", [-1.5, -0.5, -1.0])
+@pytest.mark.parametrize("m", [1, 2])
+def test_init_anchor_missing_the_aperture_names_sheet_0(kappa, m):
+    # b1 = 0.9|P| is admissible, but the anchor's support misses part of the
+    # aperture; validate would refuse the config first, init_state raises
+    cfg = symmetric_pair_config(kappa)
+    cfg = _replace(cfg, b1=0.9, targets=nr.TargetSpec(cfg.targets.points[:m], cfg.targets.weights[:m]))
+    assert ovals.admissible_b(cfg.targets.points[0], kappa).contains(cfg.b1)
+    with pytest.raises(refractor.ConfigurationError, match="sheet 0 not evaluable"):
+        init_state(cfg)
+
+
+@pytest.mark.parametrize("kappa", [-1.5, -0.5, -1.0])
+def test_init_inadmissible_b1_is_refused(kappa):
+    cfg = _replace(symmetric_pair_config(kappa), b1=1.5)
+    with pytest.raises(ValueError, match="inadmissible"):
+        init_state(cfg)
 
 
 @pytest.mark.parametrize("kappa", [-1.5, -0.5, -1.0])
