@@ -9,7 +9,7 @@ dyadically refined) target measure, and audit the result by ray tracing.
 __version__ = "0.1.0"
 
 from .fresnel import AdmissibilityMargin, MediumPair
-from .geometry import QuadratureRule, SourceDomain, build_quadrature, cap_measure, make_cap
+from .geometry import QuadratureRule, SourceDomain, build_quadrature, make_cap
 from .ovals import OvalParams, Regime, admissible_b, regime_of
 from .refractor import EmissionDensity, RefractorState, TargetSpec
 from .raytrace import energy_audit, trace_one
@@ -41,7 +41,6 @@ __all__ = [
     "Tolerances",
     "admissible_b",
     "build_quadrature",
-    "cap_measure",
     "energy_audit",
     "init_state",
     "make_cap",

@@ -451,22 +451,6 @@ _CSV_BLOCK = 512
 _SKIPPED = np.array([b"false\n", b"true\n"], "S8").view(np.uint8).reshape(2, -1)
 
 
-def _trace_blocks(traced, rule):
-    """(values, tie) per block of `_CSV_BLOCK` rows: the float columns of
-    the trace CSV, the target index among them, with NaN in the focus
-    error, r and t of tie rows."""
-    dim = rule.domain.dim
-    for lo in range(0, rule.count, _CSV_BLOCK):
-        blk = slice(lo, lo + _CSV_BLOCK)
-        tie = traced.tie[blk]
-        values = np.column_stack([
-            rule.nodes[blk], traced.z[blk], traced.m[blk], traced.assigned[blk],
-            traced.focus_error[blk], traced.r[blk], traced.t[blk],
-        ])
-        values[tie, 3 * dim + 1:] = np.nan
-        yield values, tie
-
-
 def write_trace_csv(traced, rule, path: str) -> None:
     """Write one CSV row per node of `traced = trace_field(state, rule, field)`.
 
@@ -484,14 +468,24 @@ def write_trace_csv(traced, rule, path: str) -> None:
         + [f"m{i}" for i in range(dim)]
         + ["active", "focus_error", "r", "t", "skipped"]
     )
-    for values, tie in _trace_blocks(traced, rule):
-        ray = values[~tie, 3 * dim + 1:]
-        bad = np.concatenate([values[np.isinf(values)], ray[np.isnan(ray)]])
-        if bad.size:
-            raise ValueError(f"non-finite number in report: {bad[0]}")
+    # nothing infinite, and no NaN in a ray's focus error, r or t, checked a
+    # column at a time with boolean temporaries only
+    ray = ~traced.tie
+    bad = [a[np.isinf(a)] for a in (rule.nodes, traced.z, traced.m)]
+    bad += [a[ray & ~np.isfinite(a)] for a in (traced.focus_error, traced.r, traced.t)]
+    bad = np.concatenate(bad)
+    if bad.size:
+        raise ValueError(f"non-finite number in report: {bad[0]}")
     with _open_output(path, "wb") as fh:
         fh.write(",".join(cols).encode() + b"\n")
-        for values, tie in _trace_blocks(traced, rule):
+        for lo in range(0, rule.count, _CSV_BLOCK):
+            blk = slice(lo, lo + _CSV_BLOCK)
+            tie = traced.tie[blk]
+            values = np.column_stack([
+                rule.nodes[blk], traced.z[blk], traced.m[blk], traced.assigned[blk],
+                traced.focus_error[blk], traced.r[blk], traced.t[blk],
+            ])
+            values[tie, 3 * dim + 1:] = np.nan
             rows, n_cols = values.shape
             width = n_cols * _G17_WIDTH
             buf = bytearray(rows * (width + _SKIPPED.shape[1]))
@@ -614,6 +608,14 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _sample_count(text: str) -> int:
+    """A `--samples` value: an integer of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negrefractor",
@@ -645,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--samples", type=_sample_count, default=101)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_fresnel_table)
 

@@ -16,7 +16,6 @@ do not depend on the platform's LAPACK or libm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,11 +152,6 @@ def build_quadrature(domain: SourceDomain, level: int) -> QuadratureRule:
         nodes[:, k] = sc * e1[k] + ss * e2[k] + cu * domain.axis[k]
     weights = np.repeat(wu, n_az) * wphi
     return QuadratureRule(domain, nodes, weights, int(level), (n_polar, n_az))
-
-
-def cap_measure(rule: QuadratureRule) -> float:
-    """Total weight = approximate surface measure of the cap (exactly rounded)."""
-    return math.fsum(rule.weights)
 
 
 def neighbor_pairs(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:

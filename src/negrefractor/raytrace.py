@@ -40,7 +40,7 @@ class TraceResult:
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(refractor.Report):
     per_target: np.ndarray        # ray-binned transported energy
     reflected: float
     incident: float
@@ -49,18 +49,6 @@ class AuditReport:
     max_discrepancy: float        # max |per_target - measures| (absolute)
     max_focus_error: float
     miss_count: int               # rays whose best focus error exceeds the miss threshold
-
-    def to_dict(self) -> dict:
-        return {
-            "per_target": self.per_target.tolist(),
-            "reflected": self.reflected,
-            "incident": self.incident,
-            "skipped_fraction": self.skipped_fraction,
-            "measures": self.measures.tolist(),
-            "max_discrepancy": self.max_discrepancy,
-            "max_focus_error": self.max_focus_error,
-            "miss_count": self.miss_count,
-        }
 
 
 def trace_one(state: RefractorState, x) -> TraceResult:

@@ -21,7 +21,7 @@ the sheet produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -66,6 +66,19 @@ def owned(h, low, other, sense: EnvelopeSense):
 
 class ConfigurationError(ValueError):
     """A sheet is not evaluable somewhere on the aperture."""
+
+
+class Report:
+    """Base of the dataclass reports whose fields are their JSON layout:
+    `to_dict` gives the fields in order, arrays as lists, except those the
+    class names in `_UNREPORTED`."""
+
+    _UNREPORTED = ()
+
+    def to_dict(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in values.items() if k not in self._UNREPORTED}
 
 
 @dataclass(frozen=True)

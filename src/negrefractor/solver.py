@@ -412,7 +412,7 @@ def _parked(config: ProblemConfig, rule: QuadratureRule) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SolveReport:
+class SolveReport(refractor.Report):
     status: str
     b: np.ndarray
     measures: np.ndarray
@@ -428,24 +428,11 @@ class SolveReport:
     validation: ValidationReport
     field: FieldEvaluation  # the final state's field on the final rule
 
+    _UNREPORTED = ("state", "validation", "field")
+
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "b": self.b.tolist(),
-            "measures": self.measures.tolist(),
-            "residuals": self.residuals.tolist(),
-            "anchor_surplus": self.anchor_surplus,
-            "mu_total": self.mu_total,
-            "measure_tol_abs": self.measure_tol_abs,
-            "min_rho": self.min_rho,
-            "max_rho": self.max_rho,
-            "r0": self.r0,
-            "sweeps": self.sweeps,
-        }
 
 
 class _CoordinateWorkspace:
@@ -1098,24 +1085,18 @@ def dyadic_atoms(patch: DiskPatch, level: int):
 
 
 @dataclass
-class RefinementReport:
-    levels: list
+class RefinementReport(refractor.Report):
+    status: str
     mass_error: float
     sup_diffs: list
-    status: str
+    levels: list
     anchor_test_cell: int
+
+    _UNREPORTED = ("anchor_test_cell",)
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "mass_error": self.mass_error,
-            "sup_diffs": self.sup_diffs,
-            "levels": self.levels,
-        }
 
 
 # Dyadic level whose cells are refine_radon's fixed test cells.
@@ -1253,9 +1234,9 @@ def refine_radon(problem: RadonProblem, levels: int) -> RefinementReport:
             break
 
     return RefinementReport(
-        levels=level_rows,
+        status=status,
         mass_error=mass_err,
         sup_diffs=sup_diffs,
-        status=status,
+        levels=level_rows,
         anchor_test_cell=int(test_cells[0]),  # the anchor atom's
     )

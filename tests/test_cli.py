@@ -326,6 +326,24 @@ def test_fresnel_table_is_lossless_at_kappa_minus_one(tmp_path):
         assert row.split(",")[1:] == ["0", "0", "0", "1"]
 
 
+@pytest.mark.parametrize("samples", [0, -1, 1])
+def test_fresnel_table_needs_a_sample(tmp_path, capsys, samples):
+    out = tmp_path / "table.csv"
+    code = cli.main([
+        "fresnel-table", "--kappa", "-1.5", "--epsilon", "0.3",
+        f"--samples={samples}", "--out", str(out),
+    ])
+    if samples < 1:  # a usage error, with nothing written
+        assert code == cli.EXIT_PARSE
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2  # one row, at the window floor
+    assert float(lines[1].split(",")[0]) == negrefractor.AdmissibilityMargin(0.3).window(-1.5)[0]
+
+
 @pytest.mark.parametrize("command", ["trace", "export"])
 @pytest.mark.parametrize("state", [b'{"report": {"solve": {}}}', b"{not json", b"\xff\xfe{}", None])
 def test_malformed_state_file_is_a_schema_error(tmp_path, capsys, command, state):
@@ -555,8 +573,10 @@ def test_trace_csv_refuses_non_finite_values(tmp_path):
         _injected(field, "r", i, np.nan),
         _injected(field, "r", i, np.inf),
     ):
+        Path(out).unlink(missing_ok=True)  # the reference writer opens it before it refuses
         with pytest.raises(ValueError, match="non-finite"):
             cli.write_trace_csv(bad, rule, out)
+        assert not Path(out).exists()  # refused before anything is written
         with pytest.raises(ValueError, match="non-finite"):
             _reference_trace_csv(bad, rule, out)
     # NaN geometry is written as nan, and a tie node's r is never written

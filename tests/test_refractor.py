@@ -132,7 +132,7 @@ def test_measure_critical_equals_cap_area():
     cap = nr.make_cap([0.0, 0.0, 1.0], 30 * DEG, 3)
     rule = nr.build_quadrature(cap, 5)
     G = measures(state, rule, EmissionDensity.uniform(1.0))[0]
-    assert G == pytest.approx(nr.cap_measure(rule), rel=1e-14)
+    assert G == pytest.approx(math.fsum(rule.weights), rel=1e-14)
 
 
 def test_measure_refinement_oracle():
