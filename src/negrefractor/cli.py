@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, detmath, fresnel, solver
 from .fresnel import AdmissibilityMargin, MediumPair
-from .geometry import make_cap
+from .geometry import make_cap, neighbor_pairs
 from .raytrace import energy_audit, trace_field
 from .refractor import EmissionDensity, RefractorState, TargetSpec, evaluate_field
 from .solver import ProblemConfig, Tolerances, ValidationFailure
@@ -217,8 +217,6 @@ def canonical_json(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if isinstance(obj, np.ndarray):
-        return canonical_json(obj.tolist())
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -228,30 +226,20 @@ def report_bytes(report: dict) -> bytes:
     return canonical_json(report).encode()
 
 
-def _versions() -> dict:
-    return {
-        "negrefractor": __version__,
-        "numpy": np.__version__,
-        "python": ".".join(map(str, sys.version_info[:3])),
-    }
-
-
 def finalize_report(report: dict, wall_times: dict) -> str:
     """Report document: the hashed section, its SHA-256, then the
     environment-dependent versions and wall times."""
     body = report_bytes(report)
-    sha = hashlib.sha256(body).hexdigest()
-    return (
-        '{"report":'
-        + body.decode()
-        + ',"report_sha256":'
-        + json.dumps(sha)
-        + ',"versions":'
-        + canonical_json(_versions())
-        + ',"wall_times":'
-        + canonical_json(wall_times)
-        + "}"
-    )
+    rest = canonical_json({
+        "report_sha256": hashlib.sha256(body).hexdigest(),
+        "versions": {
+            "negrefractor": __version__,
+            "numpy": np.__version__,
+            "python": ".".join(map(str, sys.version_info[:3])),
+        },
+        "wall_times": wall_times,
+    })
+    return '{"report":' + body.decode() + "," + rest[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +384,13 @@ def load_config(path: str):
 # exports
 # ---------------------------------------------------------------------------
 
-def _check_output(path: str | None, fmt: str | None = None, dim: int | None = None) -> None:
-    """Refuse an unusable output before any work: a directory, a path whose
-    directory is missing, or an export format for surfaces of another dimension."""
+def _check_output(path: str | None) -> None:
+    """Refuse an unusable output before any work: a directory, or a path
+    whose directory is missing."""
     if path and os.path.isdir(path):
         reason = "is a directory"
     elif path and not os.path.isdir(os.path.dirname(path) or "."):
         reason = "its directory does not exist"
-    elif path and fmt and {"obj": 3, "csv": 2}[fmt] != dim:
-        reason = f"{fmt} export does not fit a {dim}-D surface"
     else:
         return
     raise SchemaError(f"cannot write output {path}: {reason}")
@@ -418,28 +404,27 @@ def _open_output(path: str, mode: str = "w"):
         raise SchemaError(f"cannot write output {path}: {exc.strerror}") from exc
 
 
-def export_surface(rho: np.ndarray, rule, path: str, fmt: str) -> None:
-    """Write the envelope surface rho(x) x: OBJ triangle mesh (n=3) or CSV polyline (n=2)."""
-    if fmt == "csv":
+def export_surface(rho: np.ndarray, rule, path: str) -> None:
+    """Write the envelope surface rho(x) x: a CSV polyline (n=2), or an OBJ
+    triangle mesh (n=3) with two faces per grid cell, ring by ring."""
+    if rule.domain.dim == 2:
         angles = np.arctan2(rule.nodes[:, 1], rule.nodes[:, 0])
         with _open_output(path) as fh:
             fh.write("angle,rho\n")
             for a, r in zip(angles, rho):
                 fh.write(f"{_fmt_float(a)},{_fmt_float(r)}\n")
         return
-    n_polar, n_az = rule.grid_shape
     verts = rho[:, None] * rule.nodes
     lines = ["# envelope refractor surface"]
     for v in verts:
         lines.append(f"v {_fmt_float(v[0])} {_fmt_float(v[1])} {_fmt_float(v[2])}")
-    for i in range(n_polar - 1):
-        for k in range(n_az):
-            a = i * n_az + k + 1
-            b = i * n_az + (k + 1) % n_az + 1
-            c = (i + 1) * n_az + k + 1
-            d = (i + 1) * n_az + (k + 1) % n_az + 1
-            lines.append(f"f {a} {b} {d}")
-            lines.append(f"f {a} {d} {c}")
+    ia, ib = neighbor_pairs(rule)
+    outer = ib[rule.count:]  # each node's neighbor one ring further out, off the last ring
+    cell = np.array([ia, ib])[:, :outer.size]  # the azimuthal pairs (a, b) off the last ring
+    corners = np.concatenate([cell, outer[cell]]) + 1  # a, b, then c, d one ring out
+    for a, b, c, d in zip(*corners.tolist()):
+        lines.append(f"f {a} {b} {d}")
+        lines.append(f"f {a} {d} {c}")
     with _open_output(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -534,7 +519,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     config, echo = load_config(args.config)
     _check_output(args.out)
-    _check_output(args.export, args.export_format, config.domain.dim)
+    _check_output(args.export)
     rule = config.rule()
     t1 = time.perf_counter()
     report = solver.solve_discrete(config, rule)
@@ -562,7 +547,7 @@ def cmd_solve(args) -> int:
     )
     _write_or_print(text, args.out)
     if args.export:
-        export_surface(report.field.rho, rule, args.export, args.export_format)
+        export_surface(report.field.rho, rule, args.export)
     return EXIT_OK if report.converged else EXIT_NONCONVERGENCE
 
 
@@ -601,10 +586,10 @@ def cmd_fresnel_table(args) -> int:
 
 def cmd_export(args) -> int:
     config, _ = load_config(args.config)
-    _check_output(args.out, args.format, config.domain.dim)
+    _check_output(args.out)
     rule = config.rule()
     state = _state_from_report(config, args.state)
-    export_surface(evaluate_field(state, rule).rho, rule, args.out, args.format)
+    export_surface(evaluate_field(state, rule).rho, rule, args.out)
     return EXIT_OK
 
 
@@ -631,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="synthesize the refractor and write the report")
     p.add_argument("config")
     p.add_argument("--out", default=None)
-    p.add_argument("--export", default=None, help="also write the surface mesh here")
-    p.add_argument("--export-format", default="obj", choices=["obj", "csv"])
+    p.add_argument("--export", default=None,
+                   help="also write the surface here: OBJ mesh (3-D), CSV polyline (2-D)")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("trace", help="ray-trace a solved state and audit the energy ledger")
@@ -651,10 +636,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_fresnel_table)
 
-    p = sub.add_parser("export", help="write the surface mesh of a solved state")
+    p = sub.add_parser("export", help="write the surface of a solved state: OBJ mesh (3-D), "
+                       "CSV polyline (2-D)")
     p.add_argument("config")
     p.add_argument("--state", required=True)
-    p.add_argument("--format", default="obj", choices=["obj", "csv"])
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_export)
 

@@ -69,11 +69,9 @@ class SourceDomain:
         return detmath.dot(x, self.axis) >= self.cos_half_angle - COS_SLACK
 
 
-def make_cap(axis, half_angle: float, dim: int | None = None) -> SourceDomain:
+def make_cap(axis, half_angle: float, dim: int) -> SourceDomain:
     """Build the cap domain, validating axis and opening angle."""
     axis = require_unit(axis, "axis")
-    if dim is None:
-        dim = axis.size
     if dim not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {dim}")
     if axis.size != dim:
@@ -155,9 +153,12 @@ def build_quadrature(domain: SourceDomain, level: int) -> QuadratureRule:
 
 
 def neighbor_pairs(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs of adjacent nodes (consecutive along each grid direction).
+    """Index pairs (a, b) of adjacent nodes, for slope estimates and the
+    mesh export.
 
-    Used for finite-difference slope estimates; azimuth wraps for n=3.
+    n=2: each node and the next.  n=3: first every node and its azimuthal
+    successor in its ring (wrapping), in node order; then every node off the
+    last ring and the node one ring further out, in node order.
     """
     if rule.domain.dim == 2:
         idx = np.arange(rule.count)

@@ -768,7 +768,8 @@ def _sweep_stage(
 ):
     """Gauss-Seidel sweeps on one quadrature rule from `state`; `wf` is the
     rule's weights times the density values.  Returns the new state, its
-    field and measures, and the stage status."""
+    field and measures, and the stage status; with no non-anchor target,
+    the entry state, converged."""
     tgt = config.targets
     m = tgt.count
     tol = config.tolerances
@@ -783,11 +784,12 @@ def _sweep_stage(
     # radii of a probed b_j whose support the probe has checked, and equals
     # the matching row of sheet_radii bit for bit (same dots, same kernel)
     H = sheet_radii(state, rule.nodes)
-    ws = _CoordinateWorkspace(config, rule, H, wf)
-
-    status = "max_outer_exceeded"
     field = refractor.field_of(state, rule, assign_envelope(H, state.regime))
     G = field.measures(wf, m)
+    if m == 1:
+        return state, field, G, "converged"
+    ws = _CoordinateWorkspace(config, rule, H, wf)
+    status = "max_outer_exceeded"
     for sweep in range(tol.max_outer):
         C1_est = float(field.rho.min())
         del field  # hold no field while the sweep runs
@@ -878,7 +880,6 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None,
         raise ValidationFailure(report)
 
     tgt = config.targets
-    m = tgt.count
     tol = config.tolerances
     mu = tgt.total
     tol_abs = tol.measure_tol * mu
@@ -889,15 +890,10 @@ def solve_discrete(config: ProblemConfig, rule: QuadratureRule | None = None,
             raise ValueError(f"a start keeps the anchor at b1={config.b1}, not {start[0]}")
         state = state.with_b(np.array(start, dtype=float))
     sweeps: list[dict] = []
-    status = "converged"
-    if m == 1:
-        field = refractor.evaluate_field(state, rule)
-        G = field.measures(rule.weights * config.density.values_on(rule), m)
-    else:
-        for stage_rule in _ladder(config, rule):
-            wf = stage_rule.weights * config.density.values_on(stage_rule)
-            stage_tol = tol_abs if stage_rule is rule else max(tol_abs, 2.0 * float(np.max(wf)))
-            state, field, G, status = _sweep_stage(config, stage_rule, state, wf, stage_tol, sweeps)
+    for stage_rule in _ladder(config, rule):
+        wf = stage_rule.weights * config.density.values_on(stage_rule)
+        stage_tol = tol_abs if stage_rule is rule else max(tol_abs, 2.0 * float(np.max(wf)))
+        state, field, G, status = _sweep_stage(config, stage_rule, state, wf, stage_tol, sweeps)
 
     rho = field.rho
     anchor_surplus = float(G[0] - tgt.weights[0])

@@ -290,8 +290,7 @@ def test_trace_and_export_roundtrip(tmp_path):
 
     mesh = tmp_path / "surface.obj"
     assert cli.main([
-        "export", cfgp, "--state", str(report), "--format", "obj",
-        "--out", str(mesh),
+        "export", cfgp, "--state", str(report), "--out", str(mesh),
     ]) == 0
     assert mesh.read_text().count("\nf ") > 0
 
@@ -393,8 +392,7 @@ def test_two_dimensional_solve_and_polyline_export(tmp_path):
     assert cli.main(["solve", cfgp, "--out", str(report)]) == 0
     poly = tmp_path / "surface.csv"
     assert cli.main([
-        "export", cfgp, "--state", str(report), "--format", "csv",
-        "--out", str(poly),
+        "export", cfgp, "--state", str(report), "--out", str(poly),
     ]) == 0
     lines = poly.read_text().splitlines()
     assert lines[0] == "angle,rho"
@@ -693,24 +691,61 @@ def test_unusable_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, so
     assert not calls  # refused before any work
 
 
+def _reference_surface(rho, rule):
+    """The surface export written row by row: for n=2 the `angle,rho` rows;
+    for n=3 the `v` lines, then two `f` lines per grid cell, ring by ring."""
+    def g17(x):
+        return format(float(x), ".17g")
+
+    if rule.domain.dim == 2:
+        angles = np.arctan2(rule.nodes[:, 1], rule.nodes[:, 0])
+        return "".join([f"angle,rho\n"] + [f"{g17(a)},{g17(r)}\n" for a, r in zip(angles, rho)])
+    n_polar, n_az = rule.grid_shape
+    rows = ["# envelope refractor surface"]
+    rows += ["v " + " ".join(g17(r * c) for c in x) for r, x in zip(rho, rule.nodes)]
+    for i in range(n_polar - 1):
+        for k in range(n_az):
+            a, b = i * n_az + k + 1, i * n_az + (k + 1) % n_az + 1
+            c, d = a + n_az, b + n_az
+            rows += [f"f {a} {b} {d}", f"f {a} {d} {c}"]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("axis", [[0.0, 1.0], [0.6, 0.8], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
+def test_export_matches_the_row_by_row_reference(tmp_path, axis):
+    rule = geometry.build_quadrature(geometry.make_cap(axis, math.radians(30.0), len(axis)), 3)
+    rho = np.random.default_rng(7).uniform(0.05, 0.09, rule.count)
+    path = tmp_path / "surface"
+    cli.export_surface(rho, rule, str(path))
+    assert path.read_text() == _reference_surface(rho, rule)
+
+
 @pytest.mark.parametrize("command", ["solve", "export"])
-@pytest.mark.parametrize("dimension, fmt", [(3, "csv"), (2, "obj")])
-def test_export_format_must_fit_the_dimension(tmp_path, capsys, monkeypatch, command,
-                                              dimension, fmt):
-    doc = _config_dict(quadrature_level=5) if dimension == 3 else _two_dimensional_doc(5)
-    cfgp = _write(tmp_path, doc)
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps({"report": {"solve": {"b": [doc["b1"]] * len(doc["targets"])}}}))
-    report, surface = tmp_path / "r.json", tmp_path / f"surface.{fmt}"
-    argv = {"solve": ["solve", cfgp, "--out", str(report), "--export", str(surface),
-                      "--export-format", fmt],
-            "export": ["export", cfgp, "--state", str(state), "--format", fmt,
-                       "--out", str(surface)]}[command]
-    calls = _count_sheet_radii(monkeypatch)
+@pytest.mark.parametrize("dimension", [3, 2])
+def test_export_follows_the_config_dimension(tmp_path, command, dimension):
+    cfgp = _write(tmp_path, _config_dict() if dimension == 3 else _two_dimensional_doc(6))
+    report, surface = tmp_path / "r.json", tmp_path / "surface"
+    export = ["--export", str(surface)] if command == "solve" else []
+    assert cli.main(["solve", cfgp, "--out", str(report), *export]) == cli.EXIT_OK
+    if command == "export":
+        argv = ["export", cfgp, "--state", str(report), "--out", str(surface)]
+        assert cli.main(argv) == cli.EXIT_OK
+    config, _ = cli.load_config(cfgp)
+    rule = config.rule()
+    rho = refractor.evaluate_field(cli._state_from_report(config, str(report)), rule).rho
+    assert surface.read_text() == _reference_surface(rho, rule)
+
+
+@pytest.mark.parametrize("command", ["solve", "export"])
+def test_export_format_options_are_usage_errors(tmp_path, capsys, command):
+    cfgp = _write(tmp_path, _config_dict(quadrature_level=5))
+    surface = tmp_path / "surface.obj"
+    argv = {"solve": ["solve", cfgp, "--export", str(surface), "--export-format", "obj"],
+            "export": ["export", cfgp, "--state", str(tmp_path / "r.json"), "--out", str(surface),
+                       "--format", "obj"]}[command]
     assert cli.main(argv) == cli.EXIT_PARSE
-    err = capsys.readouterr().err
-    assert f"cannot write output {surface}: {fmt} export does not fit a {dimension}-D" in err
-    assert not calls and not report.exists() and not surface.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not surface.exists()
 
 
 def _count_sheet_radii(monkeypatch):

@@ -184,7 +184,7 @@ def _gl_reference(n, mpmath):
     return _GL_REFERENCE[n]
 
 
-@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("n", [15, 16, 63, 64, 256])
 def test_gauss_legendre_nodes_within_one_ulp(n):
     mpmath = pytest.importorskip("mpmath")
     from negrefractor.detmath import gauss_legendre

@@ -452,6 +452,18 @@ def test_init_inadmissible_b1_is_refused(kappa):
         init_state(cfg)
 
 
+def test_init_infeasible_when_a_parked_sheet_keeps_energy():
+    # critical regime: this b1 passes validate, but the anchor sheet sits so
+    # far out that parked non-anchor sheets still own nodes
+    cfg = solvable_config(-1.0, 3, seed=5, level=5)
+    rule = cfg.rule()
+    cfg = _replace(cfg, b1=0.9 * float(detmath.dot_rows(rule.nodes, cfg.targets.points[0]).min()))
+    assert validate(cfg, rule).passed
+    with pytest.raises(solver.InfeasibleGeometryError,
+                       match=r"initialization leaves non-anchor energy \[.*\]; lower b1"):
+        init_state(cfg, rule)
+
+
 @pytest.mark.parametrize("kappa", [-1.5, -0.5, -1.0])
 def test_init_anchor_takes_everything(kappa):
     cfg = symmetric_pair_config(kappa)
